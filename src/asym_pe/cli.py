@@ -16,32 +16,13 @@ from pathlib import Path
 
 import yaml
 
-from .game import OutcomeKind, ScenarioConfig, ValidationError
-from .scenarios import PRESETS, ParseError, load_scenario
+from .game import ScenarioConfig, ValidationError
+from .scenarios import PRESET_EXPECTATIONS, PRESETS, ParseError, load_scenario, time_band
 from .sensitivity import GridSpec
 from .sim import run, run_batch
 from .trace_io import write_field_csv, write_trace_csv
 
 ENV_SEED = "ASYM_PE_SEED"
-
-# Expected preset behavior: outcome kind(s) and, where known, the event
-# time with a +/-25% acceptance band (clipped at the simulation cutoff).
-PRESET_EXPECTATIONS: dict[str, tuple[set[OutcomeKind], float | None]] = {
-    "fig2_collision": ({OutcomeKind.PURSUER_COLLISION}, None),
-    "fig3_desensitized": ({OutcomeKind.CAPTURE}, 5.7),
-    "fig4_rho1": ({OutcomeKind.CAPTURE}, 5.6),
-    "fig5_fast_obstacle": ({OutcomeKind.CAPTURE}, 6.4),
-    "fig6_heading": ({OutcomeKind.CAPTURE}, 10.0),
-    "fig7_deception_collision": ({OutcomeKind.PURSUER_COLLISION}, 2.6),
-    "fig8_desensitized_vs_deception": ({OutcomeKind.CAPTURE}, 8.4),
-    "fig9_local_minimum": (
-        {OutcomeKind.TIMEOUT, OutcomeKind.PURSUER_COLLISION,
-         OutcomeKind.EVADER_COLLISION}, None),
-}
-
-
-def time_band(target: float, t_max: float) -> tuple[float, float]:
-    return 0.75 * target, min(1.25 * target, t_max)
 
 
 def _apply_env_seed(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -49,9 +30,10 @@ def _apply_env_seed(cfg: ScenarioConfig) -> ScenarioConfig:
     if raw is None:
         return cfg
     try:
-        return replace(cfg, seed=int(raw))
+        seed = int(raw)
     except ValueError:
         raise ParseError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+    return replace(cfg, seed=seed)
 
 
 def _load(source: str) -> tuple[str, ScenarioConfig]:
@@ -159,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a scenario over several field values")
     p_sweep.add_argument("scenario", help="preset name or scenario file path")
     p_sweep.add_argument("--vary", required=True, help="KEY=v1,v2,...")
-    p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_presets = sub.add_parser("presets", help="list built-in presets")

@@ -150,6 +150,8 @@ class ScenarioConfig:
             raise ValidationError("horizon length N must be at least 1")
         if self.t_max <= 0:
             raise ValidationError("t_max must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         p = np.asarray(self.pursuer_start)
         e = np.asarray(self.evader_start)
         w = np.asarray(self.obstacle_start)

@@ -19,20 +19,16 @@ import numpy as np
 
 from .game import ControlSequence, EvaderMode, GameState, ScenarioConfig, ValidationError
 from .trajopt import (
-    CoincidentPositions,
     HorizonProblem,
     ObjectiveKind,
     ObstacleModel,
     Role,
     best_response,
-    pure_pursuit_model,
 )
 
 __all__ = [
-    "CoincidentPositions",
     "GaussSeidelConfig",
     "StepDecision",
-    "pure_pursuit_model",
     "solve_evader_deceptive",
     "solve_evader_original",
     "solve_pursuer_game",
@@ -75,15 +71,6 @@ def _residual(new: ControlSequence, old: ControlSequence) -> float:
     return float(np.linalg.norm(new.velocities() - old.velocities()))
 
 
-# Best responses inside the alternating loop run from the warm iterate
-# only, mirroring warm-started per-block local solves. Multi-start winners
-# hopping between distant local optima on successive iterations turn the
-# fixed-point iteration into a limit cycle and select equilibria no
-# warm-started local solver would reach.
-_EXPLORE_STARTS = 1
-_REFINE_STARTS = 1
-
-
 def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
                   pursuer_objective: ObjectiveKind,
                   evader_obstacle: ObstacleModel,
@@ -93,18 +80,22 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
     residual_v = math.inf
     converged = False
     iters = 0
+    # Best responses run from the warm iterate only (n_starts=1), mirroring
+    # warm-started per-block local solves. Multi-start winners hopping
+    # between distant local optima on successive iterations turn the
+    # fixed-point iteration into a limit cycle and select equilibria no
+    # warm-started local solver would reach.
     for iters in range(1, gs.max_iters + 1):
-        n_starts = _EXPLORE_STARTS if iters == 1 else _REFINE_STARTS
         u_prev, v_prev = u_seq, v_seq
         prob_p = HorizonProblem(
             role=Role.PURSUER_MIN, objective=pursuer_objective, start_state=s,
             opponent_seq=v_seq, obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
-        u_seq = best_response(prob_p, u_seq, n_starts=n_starts).sequence
+        u_seq = best_response(prob_p, u_seq, n_starts=1).sequence
         prob_e = HorizonProblem(
             role=Role.EVADER_MAX, objective=ObjectiveKind.TERMINAL_DISTANCE,
             start_state=s, opponent_seq=u_seq, obstacle_model=evader_obstacle,
             cfg=cfg)
-        v_seq = best_response(prob_e, v_seq, n_starts=n_starts).sequence
+        v_seq = best_response(prob_e, v_seq, n_starts=1).sequence
         residual_u = _residual(u_seq, u_prev)
         residual_v = _residual(v_seq, v_prev)
         if residual_u <= gs.conv_tol and residual_v <= gs.conv_tol:

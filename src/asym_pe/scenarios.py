@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .game import EvaderMode, ScenarioConfig, UncertaintySpec
+from .game import EvaderMode, OutcomeKind, ScenarioConfig, UncertaintySpec
 
 
 class ParseError(ValueError):
@@ -73,6 +73,27 @@ def _build_presets() -> dict[str, ScenarioConfig]:
 
 
 PRESETS: dict[str, ScenarioConfig] = _build_presets()
+
+# Expected preset behavior, read by `asym-pe verify` and the acceptance
+# suite: outcome kind(s) and, where known, the time of the event (then the
+# set holds the one kind being timed), accepted within time_band.
+PRESET_EXPECTATIONS: dict[str, tuple[set[OutcomeKind], float | None]] = {
+    "fig2_collision": ({OutcomeKind.PURSUER_COLLISION}, None),
+    "fig3_desensitized": ({OutcomeKind.CAPTURE}, 5.7),
+    "fig4_rho1": ({OutcomeKind.CAPTURE}, 5.6),
+    "fig5_fast_obstacle": ({OutcomeKind.CAPTURE}, 6.4),
+    "fig6_heading": ({OutcomeKind.CAPTURE}, 10.0),
+    "fig7_deception_collision": ({OutcomeKind.PURSUER_COLLISION}, 2.6),
+    "fig8_desensitized_vs_deception": ({OutcomeKind.CAPTURE}, 8.4),
+    "fig9_local_minimum": (
+        {OutcomeKind.TIMEOUT, OutcomeKind.PURSUER_COLLISION,
+         OutcomeKind.EVADER_COLLISION}, None),
+}
+
+
+def time_band(target: float, t_max: float) -> tuple[float, float]:
+    return 0.75 * target, min(1.25 * target, t_max)
+
 
 _FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))
 _POLAR_PREFIXES = ("rho_nominal", "rho_true")

@@ -119,15 +119,20 @@ def _s_g_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
             * (d[..., 1] * np.cos(psi) - d[..., 0] * np.sin(psi)))[..., None]
 
 
+def _s_gamma_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
+    """Relevance-weighted rows gamma(g) * s_g; shapes as in _s_g_rows."""
+    g = cfg.r_o ** 2 - np.sum(d ** 2, axis=-1)
+    gam = relevance(cfg.relevance_scale * g)
+    return np.asarray(gam)[..., None] * _s_g_rows(d, t, cfg)
+
+
 def weighted_terms(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
     """Vectorized ||vec(S_gamma)||^2_Q for displacements d = x_p - x_w_nominal.
 
     Shapes broadcast as in _s_g_rows; returns shape d.shape[:-1]. This is
-    the batch workhorse behind rcs_sample and the optimizer's risk term.
+    the batch workhorse behind the optimizer's risk term.
     """
-    g = cfg.r_o ** 2 - np.sum(np.asarray(d, dtype=float) ** 2, axis=-1)
-    gam = relevance(cfg.relevance_scale * g)
-    rows = np.asarray(gam)[..., None] * _s_g_rows(np.asarray(d, dtype=float), t, cfg)
+    rows = _s_gamma_rows(np.asarray(d, dtype=float), t, cfg)
     q = cfg.q_matrix()
     return np.einsum("...i,ij,...j->...", rows, q, rows)
 
@@ -246,8 +251,4 @@ def rcs_field_grid(cfg: ScenarioConfig, t: float, grid: GridSpec) -> np.ndarray:
     x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * float(t)
     a1, a2 = grid.axes()
     p = np.stack(np.meshgrid(a1, a2, indexing="ij"), axis=-1)
-    d = p - x_w
-    g = cfg.r_o ** 2 - np.sum(d ** 2, axis=-1)
-    gam = relevance(cfg.relevance_scale * g)
-    rows = gam[..., None] * _s_g_rows(d, float(t), cfg)
-    return np.linalg.norm(rows, axis=-1)
+    return np.linalg.norm(_s_gamma_rows(p - x_w, float(t), cfg), axis=-1)

@@ -93,93 +93,86 @@ def _los_sequence(state: GameState, n: int, speed: float) -> ControlSequence:
     return ControlSequence(headings=np.full(n, los), speed=speed)
 
 
-class _PursuerPipeline:
-    """The pursuer's decision chain, isolated so it can be replayed.
+class _Pipeline:
+    """One player's decision chain, isolated so it can be replayed.
 
-    Holds the warm-start pair and the previously applied heading; sees
-    only the states fed to decide(). Never reads rho_true.
+    Holds the warm start, one sequence per player its solve optimizes, and
+    the previously applied heading; sees only the states fed to decide().
+    Subclasses name their player in `role` and implement decide().
     """
 
-    def __init__(self, cfg: ScenarioConfig, gs: GaussSeidelConfig,
-                 desensitized: bool):
+    def __init__(self, cfg: ScenarioConfig, speeds: tuple[float, ...]):
         self.cfg = cfg
-        self.gs = gs
-        self.desensitized = desensitized
-        self.warm: tuple[ControlSequence, ControlSequence] | None = None
+        self.speeds = speeds
+        self.warm: tuple[ControlSequence, ...] | None = None
         self.prev_head: float | None = None
 
-    def decide(self, state: GameState):
-        cfg = self.cfg
+    def _warm(self, state: GameState) -> tuple[ControlSequence, ...]:
         if self.warm is None:
-            self.warm = (_los_sequence(state, cfg.N, cfg.u_c),
-                         _los_sequence(state, cfg.N, cfg.v_c))
-        try:
-            dec = solve_pursuer_game(state, cfg, self.gs, self.desensitized,
-                                     self.warm)
-        except NoFeasibleSequence:
-            logger.warning(
-                "pursuer solve infeasible at t=%.3f; holding heading", state.t)
-            u_head = (self.prev_head if self.prev_head is not None
-                      else line_of_sight_heading(state.x_p, state.x_e))
-            plan = self.warm[0]
-            self.warm = (shift_and_hold(self.warm[0]),
-                         shift_and_hold(self.warm[1]))
-            self.prev_head = u_head
-            return u_head, None, True, plan
-        self.warm = (shift_and_hold(dec.u_seq), shift_and_hold(dec.v_seq))
-        self.prev_head = dec.u_head
-        return dec.u_head, dec, False, dec.u_seq
+            self.warm = tuple(_los_sequence(state, self.cfg.N, speed)
+                              for speed in self.speeds)
+        return self.warm
+
+    def _advance(self, head: float, seqs) -> float:
+        self.warm = tuple(shift_and_hold(seq) for seq in seqs)
+        self.prev_head = head
+        return head
+
+    def _hold(self, state: GameState) -> float:
+        logger.warning(
+            "%s solve infeasible at t=%.3f; holding heading", self.role, state.t)
+        head = (self.prev_head if self.prev_head is not None
+                else line_of_sight_heading(state.x_p, state.x_e))
+        return self._advance(head, self.warm)
 
 
-class _EvaderPipeline:
-    def __init__(self, cfg: ScenarioConfig, gs: GaussSeidelConfig):
-        self.cfg = cfg
-        self.gs = gs
-        self.deceptive = cfg.evader_mode is EvaderMode.DECEPTIVE
-        self.warm_pair: tuple[ControlSequence, ControlSequence] | None = None
-        self.warm_v: ControlSequence | None = None
-        self.prev_head: float | None = None
+class _PursuerPipeline(_Pipeline):
+    """The pursuer's chain; never reads rho_true."""
+
+    role = "pursuer"
+
+    def __init__(self, cfg: ScenarioConfig, desensitized: bool):
+        super().__init__(cfg, (cfg.u_c, cfg.v_c))
+        self.desensitized = desensitized
 
     def decide(self, state: GameState):
-        cfg = self.cfg
+        warm = self._warm(state)
+        try:
+            dec = solve_pursuer_game(state, self.cfg, _DEFAULT_GS,
+                                     self.desensitized, warm)
+        except NoFeasibleSequence:
+            return self._hold(state), None, True, warm[0]
+        return self._advance(dec.u_head, (dec.u_seq, dec.v_seq)), dec, False, dec.u_seq
+
+
+class _EvaderPipeline(_Pipeline):
+    role = "evader"
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.deceptive = cfg.evader_mode is EvaderMode.DECEPTIVE
+        super().__init__(cfg, (cfg.v_c,) if self.deceptive else (cfg.u_c, cfg.v_c))
+
+    def decide(self, state: GameState):
+        warm = self._warm(state)
         try:
             if self.deceptive:
-                if self.warm_v is None:
-                    self.warm_v = _los_sequence(state, cfg.N, cfg.v_c)
-                dec = solve_evader_deceptive(state, cfg, self.warm_v)
-                self.warm_v = shift_and_hold(dec.v_seq)
+                dec = solve_evader_deceptive(state, self.cfg, warm[0])
             else:
-                if self.warm_pair is None:
-                    self.warm_pair = (_los_sequence(state, cfg.N, cfg.u_c),
-                                      _los_sequence(state, cfg.N, cfg.v_c))
-                dec = solve_evader_original(state, cfg, self.gs, self.warm_pair)
-                self.warm_pair = (shift_and_hold(dec.u_seq),
-                                  shift_and_hold(dec.v_seq))
+                dec = solve_evader_original(state, self.cfg, _DEFAULT_GS, warm)
         except NoFeasibleSequence:
-            logger.warning(
-                "evader solve infeasible at t=%.3f; holding heading", state.t)
-            v_head = (self.prev_head if self.prev_head is not None
-                      else line_of_sight_heading(state.x_p, state.x_e))
-            if self.deceptive:
-                self.warm_v = shift_and_hold(self.warm_v)
-            else:
-                self.warm_pair = (shift_and_hold(self.warm_pair[0]),
-                                  shift_and_hold(self.warm_pair[1]))
-            self.prev_head = v_head
-            return v_head, None, True
-        self.prev_head = dec.v_head
-        return dec.v_head, dec, False
+            return self._hold(state), None, True
+        seqs = (dec.v_seq,) if self.deceptive else (dec.u_seq, dec.v_seq)
+        return self._advance(dec.v_head, seqs), dec, False
 
 
-def run(cfg: ScenarioConfig, gs: GaussSeidelConfig | None = None) -> SimulationTrace:
+def run(cfg: ScenarioConfig) -> SimulationTrace:
     """Simulate one game to termination.
 
     The pursuer desensitizes exactly when its risk weight is nonzero; the
     evader plays the mode selected in the config.
     """
-    gs = gs or _DEFAULT_GS
-    pursuer = _PursuerPipeline(cfg, gs, desensitized=not cfg.q_is_zero)
-    evader = _EvaderPipeline(cfg, gs)
+    pursuer = _PursuerPipeline(cfg, desensitized=not cfg.q_is_zero)
+    evader = _EvaderPipeline(cfg)
     state = initial_state(cfg)
     records: list[SimRecord] = []
     while True:
@@ -197,15 +190,13 @@ def run(cfg: ScenarioConfig, gs: GaussSeidelConfig | None = None) -> SimulationT
         state = step_state(state, u_head, v_head, cfg)
 
 
-def run_batch(cfgs: list[ScenarioConfig],
-              gs: GaussSeidelConfig | None = None) -> list[SimulationTrace]:
+def run_batch(cfgs: list[ScenarioConfig]) -> list[SimulationTrace]:
     """Independent runs, output order matching input order."""
-    return [run(cfg, gs) for cfg in cfgs]
+    return [run(cfg) for cfg in cfgs]
 
 
 def replay_pursuer_decisions(cfg: ScenarioConfig, states: list[GameState],
-                             desensitized: bool | None = None,
-                             gs: GaussSeidelConfig | None = None) -> list[float]:
+                             desensitized: bool | None = None) -> list[float]:
     """Re-run only the pursuer's pipeline over externally supplied states.
 
     Feeding the decision-time states of a finished run reproduces that
@@ -215,5 +206,5 @@ def replay_pursuer_decisions(cfg: ScenarioConfig, states: list[GameState],
     """
     if desensitized is None:
         desensitized = not cfg.q_is_zero
-    pipeline = _PursuerPipeline(cfg, gs or _DEFAULT_GS, desensitized)
+    pipeline = _PursuerPipeline(cfg, desensitized)
     return [pipeline.decide(s)[0] for s in states]

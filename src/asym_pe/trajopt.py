@@ -5,7 +5,7 @@ sequence (or a pure-pursuit opponent model in the deception game), subject
 to obstacle clearance at every horizon sample. Solved by an exterior
 quadratic penalty with finite-difference gradient descent, backtracking
 line search, and seeded multi-start; all candidate evaluation is batched
-but reproduces the sequential step_state arithmetic bit for bit.
+but reproduces the sequential step_state positions bit for bit.
 """
 
 from __future__ import annotations
@@ -222,8 +222,10 @@ class _BatchEval:
     """Vectorized objective/constraint evaluation over candidate headings.
 
     Positions are accumulated step by step with the same float operations
-    as step_state, so a one-row batch matches evaluate_objective through
-    rollout exactly.
+    as step_state, so each row's positions equal rollout's bit for bit.
+    The payoff is evaluate_objective's formula but not its arithmetic:
+    norms taken along an axis and the einsum risk term can differ from the
+    scalar norm and matrix products in the last bits.
     """
 
     def __init__(self, prob: HorizonProblem):
@@ -339,8 +341,7 @@ def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.nda
 
 
 def best_response(prob: HorizonProblem, init: ControlSequence, *,
-                  n_starts: int = N_STARTS,
-                  feasibility_tol: float = FEASIBILITY_TOL) -> BestResponse:
+                  n_starts: int = N_STARTS) -> BestResponse:
     """Feasible local optimizer of the horizon problem from a warm start.
 
     Exterior penalty method: for each start, gradient-descend the
@@ -367,7 +368,7 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
     hit_cap = np.zeros(n_starts, dtype=bool)
 
     def end_round(m: int, viol: float):
-        if viol <= feasibility_tol or mu_idx[m] == len(mu_arr) - 1:
+        if viol <= FEASIBILITY_TOL or mu_idx[m] == len(mu_arr) - 1:
             finished[m] = True
         else:
             mu_idx[m] += 1
@@ -421,8 +422,11 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
                 hit_cap[m] = True
             end_round(m, float(viol_max[m_local]))
 
-    raw_f, pen_f, viol_f = ev(h_cur)
-    feasible = (viol_f <= feasibility_tol) & np.isfinite(raw_f)
+    # The warm start is the last row, scored like the winner it may replace.
+    raw_f, _, viol_f = ev(np.vstack([h_cur, init.headings]))
+    init_obj, init_viol = raw_f[-1], viol_f[-1]
+    raw_f, viol_f = raw_f[:-1], viol_f[:-1]
+    feasible = (viol_f <= FEASIBILITY_TOL) & np.isfinite(raw_f)
     if not feasible.any():
         raise NoFeasibleSequence(
             f"no feasible heading sequence from {n_starts} starts "
@@ -433,27 +437,20 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
     winner = min(tied, key=lambda m: tuple(h_cur[m]))
 
     seq = ControlSequence(headings=h_cur[winner].copy(), speed=prob.my_speed)
-    obj = evaluate_objective(prob, seq)
-    viol = float(constraint_violations(prob, seq).max(initial=0.0))
+    obj, viol = raw_f[winner], viol_f[winner]
     converged = bool(not hit_cap[winner])
 
     # Multi-start descent never accepts a worse penalized point, but the
     # raw payoff can still regress in corner cases; fall back to the warm
-    # start if it was feasible and strictly better.
-    init_viol = float(constraint_violations(prob, init).max(initial=0.0))
-    if init_viol <= feasibility_tol:
-        try:
-            init_obj = evaluate_objective(prob, init)
-        except CoincidentPositions:
-            init_obj = None
-        if init_obj is not None and math.isfinite(init_obj) \
-                and sign * init_obj < sign * obj:
-            seq, obj, viol, converged = init, init_obj, init_viol, True
+    # start if it was feasible, finite and strictly better.
+    if (init_viol <= FEASIBILITY_TOL and np.isfinite(init_obj)
+            and sign * init_obj < sign * obj):
+        seq, obj, viol, converged = init, init_obj, init_viol, True
 
     return BestResponse(
         sequence=seq,
         objective_value=float(obj),
-        constraint_max_violation=viol,
+        constraint_max_violation=float(viol),
         solver_iters=int(total_iters[winner]),
         converged=converged,
     )

@@ -26,7 +26,7 @@ from asym_pe.game import (
     line_of_sight_heading,
 )
 from asym_pe.game import COLLISION_TOL
-from asym_pe.scenarios import preset
+from asym_pe.scenarios import PRESET_EXPECTATIONS, preset, time_band
 from asym_pe.sensitivity import (
     chain_constraint_row,
     constraint_sensitivity_cartesian,
@@ -64,20 +64,11 @@ def report(label: str, ok: bool, detail: str) -> str:
     return line
 
 
-# Expected qualitative endings. fig9's gate is the absence of a capture
-# event: the low-uncertainty valley is expected to deny the pursuer, not
-# necessarily by timeout.
-HARD_OUTCOMES = {
-    "fig2_collision": {OutcomeKind.PURSUER_COLLISION},
-    "fig3_desensitized": {OutcomeKind.CAPTURE},
-    "fig4_rho1": {OutcomeKind.CAPTURE},
-    "fig5_fast_obstacle": {OutcomeKind.CAPTURE},
-    "fig6_heading": {OutcomeKind.CAPTURE},
-    "fig7_deception_collision": {OutcomeKind.PURSUER_COLLISION},
-    "fig8_desensitized_vs_deception": {OutcomeKind.CAPTURE},
-    "fig9_local_minimum": {OutcomeKind.TIMEOUT, OutcomeKind.PURSUER_COLLISION,
-                           OutcomeKind.EVADER_COLLISION},
-}
+# Expected qualitative endings, from the table `asym-pe verify` also
+# reads. fig9's gate is the absence of a capture event: the
+# low-uncertainty valley is expected to deny the pursuer, not necessarily
+# by timeout.
+HARD_OUTCOMES = {name: kinds for name, (kinds, _) in PRESET_EXPECTATIONS.items()}
 
 # Mechanism notes for the presets this solver is known to end differently.
 DIVERGENCE_NOTES = {
@@ -99,14 +90,9 @@ DIVERGENCE_NOTES = {
 
 # Expected event times (the event is capture except where noted) with the
 # +/-25% acceptance band, upper edge clipped at the simulation cutoff.
-EVENT_TIMES = {
-    "fig3_desensitized": (OutcomeKind.CAPTURE, 5.7),
-    "fig4_rho1": (OutcomeKind.CAPTURE, 5.6),
-    "fig5_fast_obstacle": (OutcomeKind.CAPTURE, 6.4),
-    "fig6_heading": (OutcomeKind.CAPTURE, 10.0),
-    "fig7_deception_collision": (OutcomeKind.PURSUER_COLLISION, 2.6),
-    "fig8_desensitized_vs_deception": (OutcomeKind.CAPTURE, 8.4),
-}
+EVENT_TIMES = {name: (next(iter(kinds)), target)
+               for name, (kinds, target) in PRESET_EXPECTATIONS.items()
+               if target is not None}
 
 BAND_NOTES = {
     "fig3_desensitized": (
@@ -155,7 +141,7 @@ def test_event_time_band(name):
     kind, target = EVENT_TIMES[name]
     trace, _ = run_preset(name)
     outcome = trace.outcome
-    lo, hi = 0.75 * target, min(1.25 * target, trace.cfg.t_max)
+    lo, hi = time_band(target, trace.cfg.t_max)
     if outcome.kind is not kind:
         detail = (f"no {kind.value} event to time: outcome="
                   f"{outcome.kind.value} at t={outcome.t_end:g}")

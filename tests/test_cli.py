@@ -70,6 +70,15 @@ def test_sweep_rejects_unknown_field(fast_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_has_no_out_option(fast_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", str(fast_file), "--vary", "epsilon=0.3",
+                  "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_unknown_scenario_is_an_error(capsys):
     rc = cli.main(["run", "fig99_mystery"])
     assert rc == 2
@@ -90,6 +99,12 @@ def test_env_seed_override(monkeypatch, tmp_path, fast_file, capsys):
     monkeypatch.setenv(cli.ENV_SEED, "not-a-number")
     assert cli.main(["run", str(fast_file)]) == 2
     assert cli.ENV_SEED in capsys.readouterr().err
+
+
+def test_negative_env_seed_is_an_error(monkeypatch, fast_file, capsys):
+    monkeypatch.setenv(cli.ENV_SEED, "-1")
+    assert cli.main(["run", str(fast_file)]) == 2
+    assert "error: seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_command_pass_and_fail(monkeypatch, capsys):

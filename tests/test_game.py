@@ -87,7 +87,7 @@ def test_config_capturability():
 
 @pytest.mark.parametrize("field,value", [
     ("epsilon", 0.0), ("r_o", -1.0), ("dt", 0.0), ("N", 0), ("t_max", 0.0),
-    ("u_c", -1.0),
+    ("u_c", -1.0), ("seed", -1),
 ])
 def test_config_positive_fields(field, value):
     with pytest.raises(ValidationError):

@@ -23,6 +23,7 @@ from asym_pe.trajopt import (
     ObjectiveKind,
     ObstacleModel,
     Role,
+    _BatchEval,
     best_response,
     constraint_violations,
     evaluate_objective,
@@ -280,6 +281,51 @@ def test_feasible_init_never_gets_worse():
         init_val = evaluate_objective(prob, init)
         resp = best_response(prob, init)
         assert resp.objective_value <= init_val + 1e-12
+
+
+def _reported_value_problem(case: str) -> HorizonProblem:
+    if case == "desensitized_pursuer":
+        cfg = preset("fig3_desensitized")
+        s0 = initial_state(cfg)
+        v = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
+        return HorizonProblem(
+            role=Role.PURSUER_MIN,
+            objective=ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK,
+            start_state=s0, opponent_seq=v,
+            obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+    if case == "evader_true_disk":
+        cfg = preset("fig2_collision")
+        s0 = initial_state(cfg)
+        u = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
+        return HorizonProblem(
+            role=Role.EVADER_MAX, objective=ObjectiveKind.TERMINAL_DISTANCE,
+            start_state=s0, opponent_seq=u,
+            obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+    cfg = preset("fig7_deception_collision")
+    return HorizonProblem(
+        role=Role.EVADER_MAX, objective=ObjectiveKind.DECEPTION_BLEND,
+        start_state=initial_state(cfg), opponent_seq=None,
+        obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+
+
+@pytest.mark.parametrize(
+    "case", ["desensitized_pursuer", "evader_true_disk", "deceptive_evader"])
+def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
+    # The reported payoff and violation come from the batch evaluator the
+    # optimizer uses: bitwise equal to a one-row scoring of the returned
+    # sequence, and within rounding of the scalar references.
+    prob = _reported_value_problem(case)
+    s0 = prob.start_state
+    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), prob.cfg.N,
+                        prob.my_speed)
+    resp = best_response(prob, init)
+    raw, _, viol = _BatchEval(prob)(resp.sequence.headings[None, :])
+    assert resp.objective_value == raw[0]
+    assert resp.constraint_max_violation == viol[0]
+    assert abs(resp.objective_value
+               - evaluate_objective(prob, resp.sequence)) <= 1e-12
+    assert abs(resp.constraint_max_violation
+               - constraint_violations(prob, resp.sequence).max()) <= 1e-12
 
 
 def test_no_feasible_sequence_raises():
