@@ -78,7 +78,10 @@ def _cmd_sweep(args) -> int:
     key, _, raw_values = args.vary.partition("=")
     if not raw_values:
         raise ParseError("--vary expects KEY=v1,v2,...")
-    values = [yaml.safe_load(v) for v in raw_values.split(",")]
+    try:
+        values = [yaml.safe_load(v) for v in raw_values.split(",")]
+    except yaml.YAMLError:
+        raise ParseError(f"bad --vary values {raw_values!r}") from None
     try:
         cfgs = [replace(cfg, **{key: v}) for v in values]
     except TypeError:

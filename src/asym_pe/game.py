@@ -60,9 +60,27 @@ COLLISION_TOL = 1e-6
 def _as_pair(value, name: str) -> tuple[float, float]:
     try:
         a, b = value
-        return (float(a), float(b))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a 2-vector, got {value!r}") from exc
+    return (_as_number(a, name), _as_number(b, name))
+
+
+def _as_number(value, name: str) -> float:
+    # NaN and infinity are refused: a game with a NaN dt never terminates.
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def _as_int(value, name: str) -> int:
+    x = _as_number(value, name)
+    if not x.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(x)
 
 
 @dataclass(frozen=True)
@@ -101,9 +119,9 @@ class ScenarioConfig:
             object.__setattr__(self, name, _as_pair(getattr(self, name), name))
         for name in ("u_c", "v_c", "epsilon", "r_o", "dt", "t_max",
                      "alpha_o", "alpha_d", "relevance_scale"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, name, _as_number(getattr(self, name), name))
+        for name in ("N", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not isinstance(self.uncertainty_spec, UncertaintySpec):
             try:
                 object.__setattr__(
@@ -116,13 +134,17 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ValidationError(str(exc)) from exc
         q = self.Q
+        k = self.uncertainty_spec.n_params
         if isinstance(q, (int, float)):
-            object.__setattr__(self, "Q", float(q))
-            if float(q) < 0.0:
+            object.__setattr__(self, "Q", _as_number(q, "Q"))
+            if self.Q < 0.0:
                 raise ValidationError("Q must be positive semidefinite")
         else:
-            mat = np.asarray(q, dtype=float)
-            k = self.uncertainty_spec.n_params
+            try:
+                mat = np.asarray(q, dtype=float)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"Q must be a number or a {k}x{k} matrix, got {q!r}") from None
             if mat.shape != (k, k):
                 raise ValidationError(
                     f"Q matrix must be {k}x{k} for {self.uncertainty_spec.value}, "

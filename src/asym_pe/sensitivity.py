@@ -1,12 +1,14 @@
 """Constraint-sensitivity machinery for the pursuer's risk term.
 
 The pursuer cannot observe the obstacle's true velocity, so it penalizes
-plans whose obstacle clearance is sensitive to that velocity. Sensitivity
-of the clearance constraint has a closed form for linear obstacle motion;
-a generic sensitivity-ODE integrator is kept alongside as the oracle path.
+plans whose obstacle clearance is sensitive to that velocity. For linear
+obstacle motion that sensitivity has a closed form, evaluated at the
+nominal obstacle trajectory.
 
-All sensitivities are evaluated at the nominal obstacle trajectory with t
-measured from game start.
+Sensitivity time restarts at zero at each planning instant: every risk
+path (the optimizer's batch evaluator, evaluate_objective and sim's plan
+risk) passes times measured from the start of the horizon, while the
+nominal obstacle position keeps game time.
 """
 
 from __future__ import annotations
@@ -15,28 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (
-    ControlSequence,
-    ScenarioConfig,
-    ValidationError,
-    constraint_g,
-)
+from .game import ScenarioConfig, ValidationError, constraint_g
 from .game import UncertaintySpec as US
-
-
-@dataclass(frozen=True)
-class SensitivityMatrix:
-    """State sensitivity w.r.t. uncertain parameters at one time sample."""
-
-    entries: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError("entries must be a 2-D matrix")
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "t", float(self.t))
 
 
 @dataclass(frozen=True)
@@ -68,33 +50,6 @@ def relevance(z):
     if np.isscalar(z) or z_arr.ndim == 0:
         return float(out)
     return out
-
-
-def constraint_sensitivity_cartesian(x_p, x_w_nominal, t: float) -> np.ndarray:
-    """Closed-form d(clearance)/d(rho) row for linear obstacle motion.
-
-    g = r_o^2 - ||x_p - x_w||^2 with x_w = x_w0 + rho*t gives
-    dg/drho = 2t*(x_p - x_w).
-    """
-    d = np.asarray(x_p, dtype=float) - np.asarray(x_w_nominal, dtype=float)
-    return 2.0 * float(t) * d
-
-
-def constraint_sensitivity_polar(x_p, x_w_nominal, t: float, rho_norm: float,
-                                 psi: float, which: US) -> np.ndarray:
-    """Same sensitivity expressed in obstacle-velocity polar coordinates.
-
-    Returns a 1-element row: d g/d speed for SPEED_ONLY, d g/d heading for
-    HEADING_ONLY.
-    """
-    d = np.asarray(x_p, dtype=float) - np.asarray(x_w_nominal, dtype=float)
-    if which is US.SPEED_ONLY:
-        val = 2.0 * t * (d[1] * np.sin(psi) + d[0] * np.cos(psi))
-    elif which is US.HEADING_ONLY:
-        val = 2.0 * rho_norm * t * (d[1] * np.cos(psi) - d[0] * np.sin(psi))
-    else:
-        raise ValidationError(f"polar sensitivity undefined for {which}")
-    return np.array([val])
 
 
 def _s_g_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
@@ -153,69 +108,6 @@ def rcs_sample(x_p, x_w_nominal, t: float, cfg: ScenarioConfig) -> RcsSample:
 def risk_of_sequence(samples: list[RcsSample]) -> float:
     """Horizon risk: sum of weighted RCS norms (dt absorbed into Q)."""
     return float(sum(s.weighted_norm_sq for s in samples))
-
-
-def integrate_sensitivity(a_fn, b_fn, n_steps: int, dt: float,
-                          n_state: int, n_param: int,
-                          substeps: int = 4) -> list[SensitivityMatrix]:
-    """Generic RK4 integration of dS/dt = A(t) S + B(t), S(0) = 0.
-
-    Returns n_steps+1 samples at the step boundaries. Kept general so the
-    closed-form path has an independent oracle.
-    """
-    if n_steps < 0:
-        raise ValidationError("n_steps must be nonnegative")
-    s = np.zeros((n_state, n_param))
-    out = [SensitivityMatrix(entries=s.copy(), t=0.0)]
-    h = dt / substeps
-
-    def deriv(t, sm):
-        return a_fn(t) @ sm + b_fn(t)
-
-    t = 0.0
-    for k in range(n_steps):
-        for _ in range(substeps):
-            k1 = deriv(t, s)
-            k2 = deriv(t + 0.5 * h, s + 0.5 * h * k1)
-            k3 = deriv(t + 0.5 * h, s + 0.5 * h * k2)
-            k4 = deriv(t + h, s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out.append(SensitivityMatrix(entries=s.copy(), t=(k + 1) * dt))
-    return out
-
-
-# Stacked-state layout for the ODE path: (x_p, x_e, x_w), 6 dims, with the
-# obstacle velocity as the 2 uncertain parameters.
-_B_STACKED = np.vstack([np.zeros((4, 2)), np.eye(2)])
-
-
-def propagate_sensitivity_ode(cfg: ScenarioConfig, u_seq: ControlSequence,
-                              v_seq: ControlSequence) -> list[SensitivityMatrix]:
-    """Sensitivity of the stacked state to the obstacle velocity, per step.
-
-    Open-loop controls do not depend on the obstacle velocity, so A == 0
-    and B is constant; the integral is exact linear stepping. The generic
-    RK4 path (integrate_sensitivity) must reproduce this.
-    """
-    if len(u_seq) != len(v_seq):
-        raise ValidationError(
-            f"control sequences differ in length: {len(u_seq)} vs {len(v_seq)}")
-    return [
-        SensitivityMatrix(entries=(k * cfg.dt) * _B_STACKED, t=k * cfg.dt)
-        for k in range(len(u_seq) + 1)
-    ]
-
-
-def chain_constraint_row(x_p, x_w_nominal, sm: SensitivityMatrix) -> np.ndarray:
-    """Chain dg/dx through a stacked-state sensitivity matrix.
-
-    dg/dx = (-2d, 0, 0, 2d) for d = x_p - x_w; the product reproduces the
-    closed-form Cartesian row.
-    """
-    d = np.asarray(x_p, dtype=float) - np.asarray(x_w_nominal, dtype=float)
-    dg_dx = np.concatenate([-2.0 * d, np.zeros(2), 2.0 * d])
-    return dg_dx @ sm.entries
 
 
 @dataclass(frozen=True)

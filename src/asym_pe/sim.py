@@ -33,7 +33,7 @@ from .game_solver import (
     solve_pursuer_game,
 )
 from .sensitivity import rcs_sample, risk_of_sequence
-from .trajopt import NoFeasibleSequence, horizon_times, player_positions, shift_and_hold
+from .trajopt import NoFeasibleSequence, horizon_times, shift_and_hold, track
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ def plan_risk(cfg: ScenarioConfig, state: GameState, u_seq: ControlSequence) -> 
     n = len(u_seq)
     ts = horizon_times(state.t, n, cfg.dt)
     rel_ts = horizon_times(0.0, n, cfg.dt)
-    pos = player_positions(state.x_p, u_seq.velocities(), cfg.dt)
+    pos = track(state.x_p, u_seq.velocities(), cfg.dt)
     w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * ts[:, None]
     samples = [rcs_sample(pos[i], w[i], rel_ts[i], cfg) for i in range(n)]
     return risk_of_sequence(samples)

@@ -146,12 +146,20 @@ def _effective_objective(prob: HorizonProblem) -> ObjectiveKind:
 
 def horizon_times(t0: float, n: int, dt: float) -> np.ndarray:
     """Sample times t0+dt, ..., accumulated exactly as step_state does."""
-    ts = np.empty(n)
-    t = t0
-    for i in range(n):
-        t = t + dt
-        ts[i] = t
-    return ts
+    return np.cumsum(np.r_[t0, np.full(n, dt)])[1:]
+
+
+def track(start: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
+    """Positions after each step from start; velocities are (..., N, 2).
+
+    A cumulative sum over [start, v0*dt, v1*dt, ...] adds one step at a
+    time in step_state's order, so each track equals the step_state chain
+    bit for bit.
+    """
+    steps = np.empty(velocities.shape[:-2] + (velocities.shape[-2] + 1, 2))
+    steps[..., 0, :] = start
+    np.multiply(velocities, dt, out=steps[..., 1:, :])
+    return np.cumsum(steps, axis=-2)[..., 1:, :]
 
 
 def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
@@ -172,20 +180,10 @@ def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
     return states
 
 
-def player_positions(start_pos: np.ndarray, velocities: np.ndarray,
-                      dt: float) -> np.ndarray:
-    pos = np.empty_like(velocities)
-    p = start_pos
-    for i in range(len(velocities)):
-        p = p + velocities[i] * dt
-        pos[i] = p
-    return pos
-
-
 def _deception_terminals(start: GameState, v_seq: ControlSequence,
                          cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(modeled pursuer, evader, true obstacle) positions at the horizon end."""
-    e_pos = player_positions(start.x_e, v_seq.velocities(), cfg.dt)
+    e_pos = track(start.x_e, v_seq.velocities(), cfg.dt)
     xp = start.x_p
     e_prev = start.x_e
     for i in range(len(v_seq)):
@@ -252,23 +250,26 @@ class _BatchEval:
                         else self.w_true)
         if prob.opponent_seq is not None:
             opp_start = s0.x_e if prob.role is Role.PURSUER_MIN else s0.x_p
-            self.opp_pos = player_positions(
-                opp_start, prob.opponent_seq.velocities(), cfg.dt)
+            self.opp_pos = track(opp_start, prob.opponent_seq.velocities(), cfg.dt)
         else:
             self.opp_pos = None
         self.x_p0 = s0.x_p
         self.x_e0 = s0.x_e
+        # Central-difference stencil: row 2j steps heading j by +GRAD_H,
+        # row 2j+1 by -GRAD_H.
+        self.fd_cols = np.repeat(np.arange(self.n), 2)
+        self.fd_steps = np.tile([GRAD_H, -GRAD_H], self.n)
 
     def positions(self, headings: np.ndarray) -> np.ndarray:
         """(B, N, 2) rollout of the optimizing player."""
-        h = np.atleast_2d(np.asarray(headings, dtype=float))
-        vel = self.speed * np.stack([np.cos(h), np.sin(h)], axis=-1)
-        pos = np.empty_like(vel)
-        p = np.broadcast_to(self.my_start, (h.shape[0], 2))
-        for i in range(self.n):
-            p = p + vel[:, i] * self.dt
-            pos[:, i] = p
-        return pos
+        vel = self.speed * np.stack([np.cos(headings), np.sin(headings)], axis=-1)
+        return track(self.my_start, vel, self.dt)
+
+    def fd_stencil(self, headings: np.ndarray) -> np.ndarray:
+        """(B*2N, N) central-difference rows around each (B, N) heading row."""
+        rows = np.repeat(headings[:, None, :], 2 * self.n, axis=1)
+        rows[:, np.arange(2 * self.n), self.fd_cols] += self.fd_steps
+        return rows.reshape(-1, self.n)
 
     def violations(self, pos: np.ndarray) -> np.ndarray:
         d = pos - self.w_model
@@ -309,17 +310,11 @@ def constraint_violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndar
     return ev.violations(ev.positions(seq.headings[None, :]))[0]
 
 
-def objective_gradient(prob: HorizonProblem, seq: ControlSequence,
-                       h: float = GRAD_H) -> np.ndarray:
-    """Central-difference gradient of evaluate_objective w.r.t. headings."""
+def objective_gradient(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
+    """Central-difference gradient of the batch payoff w.r.t. headings."""
     ev = _BatchEval(prob)
-    n = prob.cfg.N
-    stencil = np.repeat(seq.headings[None, :], 2 * n, axis=0)
-    for j in range(n):
-        stencil[2 * j, j] += h
-        stencil[2 * j + 1, j] -= h
-    raw, _, _ = ev(stencil)
-    return (raw[0::2] - raw[1::2]) / (2.0 * h)
+    raw, _, _ = ev(ev.fd_stencil(seq.headings[None, :]))
+    return (raw[0::2] - raw[1::2]) / (2.0 * GRAD_H)
 
 
 def shift_and_hold(seq: ControlSequence) -> ControlSequence:
@@ -365,27 +360,14 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
     round_iters = np.zeros(n_starts, dtype=int)
     total_iters = np.zeros(n_starts, dtype=int)
     finished = np.zeros(n_starts, dtype=bool)
-    hit_cap = np.zeros(n_starts, dtype=bool)
-
-    def end_round(m: int, viol: float):
-        if viol <= FEASIBILITY_TOL or mu_idx[m] == len(mu_arr) - 1:
-            finished[m] = True
-        else:
-            mu_idx[m] += 1
-            round_iters[m] = 0
-            hit_cap[m] = False
 
     while not finished.all():
         act = np.flatnonzero(~finished)
         a = len(act)
+        h_act = h_cur[act]
         mu_act = mu_arr[mu_idx[act]]
         # One batched call covers current points and all gradient stencils.
-        stencil = np.repeat(h_cur[act][:, None, :], 2 * n, axis=1)
-        for j in range(n):
-            stencil[:, 2 * j, j] += GRAD_H
-            stencil[:, 2 * j + 1, j] -= GRAD_H
-        rows = np.concatenate([h_cur[act], stencil.reshape(a * 2 * n, n)])
-        raw, pen, viol_max = ev(rows)
+        raw, pen, viol_max = ev(np.concatenate([h_act, ev.fd_stencil(h_act)]))
         # Penalized values: current block then stencil block.
         f_cur = sign * raw[:a] + mu_act * pen[:a]
         f_sten = (sign * raw[a:] + np.repeat(mu_act, 2 * n) * pen[a:]).reshape(a, 2 * n)
@@ -394,33 +376,33 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
 
         searchable = np.isfinite(f_cur) & (gnorm > GRAD_TOL) & (
             round_iters[act] < MAX_DESCENT_ITERS)
-        idx_s = np.flatnonzero(searchable)
         accepted = np.zeros(a, dtype=bool)
-        if len(idx_s):
-            direction = -grad[idx_s] / gnorm[idx_s][:, None]
-            cand = (h_cur[act][idx_s][:, None, :]
+        if searchable.any():
+            direction = -grad[searchable] / gnorm[searchable][:, None]
+            cand = (h_act[searchable][:, None, :]
                     + ladder[None, :, None] * direction[:, None, :])
-            raw_l, pen_l, _ = ev(cand.reshape(len(idx_s) * N_BACKTRACKS, n))
+            raw_l, pen_l, _ = ev(cand.reshape(-1, n))
             f_l = (sign * raw_l
-                   + np.repeat(mu_act[idx_s], N_BACKTRACKS) * pen_l
-                   ).reshape(len(idx_s), N_BACKTRACKS)
-            better = f_l < f_cur[idx_s][:, None]
-            for row, m_local in enumerate(idx_s):
-                m = act[m_local]
-                if better[row].any():
-                    j = int(np.argmax(better[row]))
-                    h_cur[m] = cand[row, j]
-                    round_iters[m] += 1
-                    total_iters[m] += 1
-                    accepted[m_local] = True
+                   + np.repeat(mu_act[searchable], N_BACKTRACKS) * pen_l
+                   ).reshape(-1, N_BACKTRACKS)
+            # Each start takes the longest step that lowers its value.
+            better = f_l < f_cur[searchable][:, None]
+            took = better.any(axis=1)
+            accepted[searchable] = took
+            moved = act[accepted]
+            h_cur[moved] = cand[took, better[took].argmax(axis=1)]
+            round_iters[moved] += 1
+            total_iters[moved] += 1
 
-        for m_local in range(a):
-            m = act[m_local]
-            if accepted[m_local]:
-                continue
-            if round_iters[m] >= MAX_DESCENT_ITERS:
-                hit_cap[m] = True
-            end_round(m, float(viol_max[m_local]))
+        # A start that did not move ends its round: it finishes when feasible
+        # or out of penalty weights, and otherwise escalates mu.
+        ended = act[~accepted]
+        done = ((viol_max[:a][~accepted] <= FEASIBILITY_TOL)
+                | (mu_idx[ended] == len(mu_arr) - 1))
+        finished[ended[done]] = True
+        escalate = ended[~done]
+        mu_idx[escalate] += 1
+        round_iters[escalate] = 0
 
     # The warm start is the last row, scored like the winner it may replace.
     raw_f, _, viol_f = ev(np.vstack([h_cur, init.headings]))
@@ -438,7 +420,8 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
 
     seq = ControlSequence(headings=h_cur[winner].copy(), speed=prob.my_speed)
     obj, viol = raw_f[winner], viol_f[winner]
-    converged = bool(not hit_cap[winner])
+    # A finished round's counter is frozen, so it still shows the cap.
+    converged = bool(round_iters[winner] < MAX_DESCENT_ITERS)
 
     # Multi-start descent never accepts a worse penalized point, but the
     # raw payoff can still regress in corner cases; fall back to the warm

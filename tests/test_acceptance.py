@@ -27,13 +27,7 @@ from asym_pe.game import (
 )
 from asym_pe.game import COLLISION_TOL
 from asym_pe.scenarios import PRESET_EXPECTATIONS, preset, time_band
-from asym_pe.sensitivity import (
-    chain_constraint_row,
-    constraint_sensitivity_cartesian,
-    constraint_sensitivity_polar,
-    propagate_sensitivity_ode,
-    rcs_sample,
-)
+from asym_pe.sensitivity import _s_g_rows, rcs_sample
 from asym_pe.sim import replay_pursuer_decisions, run
 from asym_pe.trace_io import parse_trace_csv, write_trace_csv
 from asym_pe.trajopt import (
@@ -43,6 +37,7 @@ from asym_pe.trajopt import (
     Role,
     best_response,
 )
+from oracles import chain_constraint_row, propagate_sensitivity_ode
 
 MAX_WALL_SECONDS = 60.0
 
@@ -157,7 +152,12 @@ def test_event_time_band(name):
     assert ok, line
 
 
+def cartesian(cfg):
+    return replace(cfg, uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN)
+
+
 def test_sensitivity_closed_form_vs_finite_differences():
+    cfg = cartesian(preset("fig2_collision"))
     rng = np.random.default_rng(42)
     delta = 1e-5
     worst = 0.0
@@ -172,7 +172,7 @@ def test_sensitivity_closed_form_vs_finite_differences():
             return 0.75 ** 2 - float(d @ d)
 
         x_w = w0 + rho * t
-        row = constraint_sensitivity_cartesian(x_p, x_w, t)
+        row = _s_g_rows(x_p - x_w, t, cfg)
         fd = np.array([(g(rho + delta * e) - g(rho - delta * e)) / (2 * delta)
                        for e in np.eye(2)])
         rel = np.linalg.norm(row - fd) / max(1.0, float(np.linalg.norm(fd)))
@@ -184,7 +184,7 @@ def test_sensitivity_closed_form_vs_finite_differences():
 
 
 def test_sensitivity_ode_path_vs_closed_form():
-    cfg = preset("fig3_desensitized")
+    cfg = cartesian(preset("fig3_desensitized"))
     u = ControlSequence(headings=np.linspace(-0.4, 0.8, cfg.N), speed=cfg.u_c)
     v = ControlSequence(headings=np.zeros(cfg.N), speed=cfg.v_c)
     rng = np.random.default_rng(3)
@@ -193,8 +193,7 @@ def test_sensitivity_ode_path_vs_closed_form():
         x_p = rng.uniform(-4, 4, 2)
         x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * sm.t
         err = np.linalg.norm(
-            chain_constraint_row(x_p, x_w, sm)
-            - constraint_sensitivity_cartesian(x_p, x_w, sm.t))
+            chain_constraint_row(x_p, x_w, sm) - _s_g_rows(x_p - x_w, sm.t, cfg))
         worst = max(worst, float(err))
     ok = worst <= 1e-9
     line = report("sensitivity ode-chain", ok,
@@ -203,6 +202,8 @@ def test_sensitivity_ode_path_vs_closed_form():
 
 
 def test_sensitivity_polar_vs_chain_rule():
+    base = preset("fig2_collision")
+    cart_cfg = cartesian(base)
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(100):
@@ -211,15 +212,16 @@ def test_sensitivity_polar_vs_chain_rule():
         speed = rng.uniform(0.1, 2.0)
         psi = rng.uniform(-math.pi, math.pi)
         t = rng.uniform(0.0, 8.0)
-        cart = constraint_sensitivity_cartesian(x_p, x_w, t)
-        pairs = [
-            (UncertaintySpec.SPEED_ONLY,
-             np.array([math.cos(psi), math.sin(psi)])),
-            (UncertaintySpec.HEADING_ONLY,
-             speed * np.array([-math.sin(psi), math.cos(psi)])),
-        ]
-        for which, column in pairs:
-            direct = constraint_sensitivity_polar(x_p, x_w, t, speed, psi, which)
+        rho = (speed * math.cos(psi), speed * math.sin(psi))
+        cart = _s_g_rows(x_p - x_w, t, cart_cfg)
+        for which in (UncertaintySpec.SPEED_ONLY, UncertaintySpec.HEADING_ONLY):
+            cfg = replace(base, uncertainty_spec=which, rho_nominal=rho)
+            # The polar rows read speed and heading back from rho_nominal.
+            sp, ps = cfg.nominal_speed(), cfg.nominal_heading()
+            column = (np.array([math.cos(ps), math.sin(ps)])
+                      if which is UncertaintySpec.SPEED_ONLY
+                      else sp * np.array([-math.sin(ps), math.cos(ps)]))
+            direct = _s_g_rows(x_p - x_w, t, cfg)
             err = abs(direct[0] - float(cart @ column))
             worst = max(worst, err / max(1.0, abs(direct[0])))
     ok = worst <= 1e-12

@@ -70,6 +70,23 @@ def test_sweep_rejects_unknown_field(fast_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vary,message", [
+    ("Q=abc", "error: Q must be"), ("Q=[1", "error: bad --vary values")])
+def test_sweep_rejects_a_malformed_value(fast_file, capsys, vary, message):
+    rc = cli.main(["sweep", str(fast_file), "--vary", vary])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_file_with_a_bad_number_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("preset: fig2_collision\nN: abc\n")
+    rc = cli.main(["run", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: N must be" in capsys.readouterr().err
+    assert not (tmp_path / "bad_trace.csv").exists()
+
+
 def test_sweep_has_no_out_option(fast_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", str(fast_file), "--vary", "epsilon=0.3",

@@ -94,6 +94,22 @@ def test_config_positive_fields(field, value):
         make_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("N", "abc"), ("N", 2.5), ("N", math.inf), ("seed", 1.5), ("seed", "x"),
+    ("seed", True), ("dt", "fast"), ("dt", math.nan), ("u_c", None), ("t_max", [1.0]),
+    ("Q", "abc"), ("Q", math.nan), ("obstacle_start", (1.0, "y")),
+])
+def test_config_rejects_values_that_are_not_numbers(field, value):
+    with pytest.raises(ValidationError, match=field):
+        make_cfg(**{field: value})
+
+
+def test_config_accepts_integral_floats_for_integer_fields():
+    cfg = make_cfg(N=5.0, seed=7.0)
+    assert (cfg.N, cfg.seed) == (5, 7)
+    assert isinstance(cfg.N, int) and isinstance(cfg.seed, int)
+
+
 def test_config_rejects_starts_inside_obstacle():
     with pytest.raises(ValidationError):
         make_cfg(pursuer_start=(2.0, 1.0))

@@ -1,9 +1,10 @@
 """Sensitivity machinery against independent oracles.
 
-The closed-form constraint sensitivity is checked against central finite
-differences (exact for a quadratic up to rounding), the generic ODE path,
-and chain-rule recombinations of the polar forms; the relevance weighting
-and field grids are checked against their declared shape properties.
+The sensitivity rows every risk path uses (_s_g_rows) are checked against
+central finite differences (exact for a quadratic up to rounding), the
+generic ODE path in tests/oracles.py, and chain-rule recombinations of the
+polar forms; the relevance weighting and field grids are checked against
+their declared shape properties.
 """
 
 import math
@@ -16,21 +17,21 @@ from asym_pe.game import ControlSequence, UncertaintySpec, ValidationError
 from asym_pe.scenarios import preset
 from asym_pe.sensitivity import (
     GridSpec,
-    chain_constraint_row,
-    constraint_sensitivity_cartesian,
-    constraint_sensitivity_polar,
-    integrate_sensitivity,
-    propagate_sensitivity_ode,
+    _s_g_rows,
     rcs_field_grid,
     rcs_sample,
     relevance,
     risk_of_sequence,
     weighted_terms,
 )
+from oracles import chain_constraint_row, integrate_sensitivity, propagate_sensitivity_ode
 
 
 def make_cfg(**overrides):
     return replace(preset("fig2_collision"), **overrides)
+
+
+CARTESIAN = make_cfg(uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN)
 
 
 def nominal_obstacle(w0, rho, t):
@@ -68,7 +69,7 @@ def test_cartesian_sensitivity_vs_central_differences():
         rho = rng.uniform(-1, 1, 2)
         t = rng.uniform(0.05, 10.0)
         x_w = nominal_obstacle(w0, rho, t)
-        row = constraint_sensitivity_cartesian(x_p, x_w, t)
+        row = _s_g_rows(x_p - x_w, t, CARTESIAN)
         fd = np.array([
             (g_of_rho(x_p, w0, rho + delta * e, t)
              - g_of_rho(x_p, w0, rho - delta * e, t)) / (2 * delta)
@@ -90,7 +91,7 @@ def test_ode_path_matches_closed_form():
         x_p = rng.uniform(-4, 4, 2)
         x_w = nominal_obstacle(cfg.obstacle_start, cfg.rho_nominal, sm.t)
         chained = chain_constraint_row(x_p, x_w, sm)
-        closed = constraint_sensitivity_cartesian(x_p, x_w, sm.t)
+        closed = _s_g_rows(x_p - x_w, sm.t, CARTESIAN)
         assert np.linalg.norm(chained - closed) <= 1e-9
 
 
@@ -137,23 +138,21 @@ def test_polar_sensitivities_vs_chain_rule():
         speed = rng.uniform(0.1, 2.0)
         psi = rng.uniform(-math.pi, math.pi)
         t = rng.uniform(0.0, 8.0)
-        rho = np.array([speed * math.cos(psi), speed * math.sin(psi)])
+        rho = (speed * math.cos(psi), speed * math.sin(psi))
         x_w = nominal_obstacle(w0, rho, t)
-        cart = constraint_sensitivity_cartesian(x_p, x_w, t)
+        polar = {which: make_cfg(uncertainty_spec=which, rho_nominal=rho)
+                 for which in (UncertaintySpec.SPEED_ONLY,
+                               UncertaintySpec.HEADING_ONLY)}
+        # The polar rows read speed and heading back from rho_nominal.
+        speed = polar[UncertaintySpec.SPEED_ONLY].nominal_speed()
+        psi = polar[UncertaintySpec.SPEED_ONLY].nominal_heading()
+        cart = _s_g_rows(x_p - x_w, t, CARTESIAN)
         d_speed = np.array([math.cos(psi), math.sin(psi)])
         d_head = speed * np.array([-math.sin(psi), math.cos(psi)])
-        s_speed = constraint_sensitivity_polar(
-            x_p, x_w, t, speed, psi, UncertaintySpec.SPEED_ONLY)
-        s_head = constraint_sensitivity_polar(
-            x_p, x_w, t, speed, psi, UncertaintySpec.HEADING_ONLY)
+        s_speed = _s_g_rows(x_p - x_w, t, polar[UncertaintySpec.SPEED_ONLY])
+        s_head = _s_g_rows(x_p - x_w, t, polar[UncertaintySpec.HEADING_ONLY])
         assert abs(s_speed[0] - cart @ d_speed) <= 1e-12 * max(1.0, abs(s_speed[0]))
         assert abs(s_head[0] - cart @ d_head) <= 1e-12 * max(1.0, abs(s_head[0]))
-
-
-def test_polar_rejects_cartesian_specs():
-    with pytest.raises(ValidationError):
-        constraint_sensitivity_polar(
-            np.zeros(2), np.ones(2), 1.0, 1.0, 0.0, UncertaintySpec.RHO1_ONLY)
 
 
 def test_first_order_prediction_exact():

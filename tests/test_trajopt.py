@@ -17,6 +17,7 @@ from asym_pe.game import (
 from asym_pe.scenarios import preset
 from asym_pe.trajopt import (
     FEASIBILITY_TOL,
+    GRAD_H,
     CoincidentPositions,
     HorizonProblem,
     NoFeasibleSequence,
@@ -151,27 +152,35 @@ def test_rollout_matches_step_state_chain():
 
 def test_gradient_matches_sequential_finite_differences():
     # The batched stencil evaluation must reproduce plain central
-    # differences of evaluate_objective bit for bit.
+    # differences of one-row batch scorings bit for bit, and those of the
+    # scalar evaluate_objective up to the payoffs' last-bit rounding. Seeds
+    # past 4 are draws where batch and scalar payoffs round differently.
     cfg = make_cfg(Q=1.0)
     s0 = initial_state(cfg)
-    rng = np.random.default_rng(4)
-    v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
-    prob = HorizonProblem(role=Role.PURSUER_MIN,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK,
-                          start_state=s0, opponent_seq=v,
-                          obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
-    u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
-    grad = objective_gradient(prob, u, h=1e-6)
-    manual = np.empty(cfg.N)
-    for j in range(cfg.N):
-        hp = u.headings.copy()
-        hm = u.headings.copy()
-        hp[j] += 1e-6
-        hm[j] -= 1e-6
-        fp = evaluate_objective(prob, ControlSequence(headings=hp, speed=cfg.u_c))
-        fm = evaluate_objective(prob, ControlSequence(headings=hm, speed=cfg.u_c))
-        manual[j] = (fp - fm) / 2e-6
-    np.testing.assert_array_equal(grad, manual)
+    for seed in (4, 7, 14, 22, 45, 60):
+        rng = np.random.default_rng(seed)
+        v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
+        prob = HorizonProblem(role=Role.PURSUER_MIN,
+                              objective=ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK,
+                              start_state=s0, opponent_seq=v,
+                              obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+        u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
+        grad = objective_gradient(prob, u)
+        ev = _BatchEval(prob)
+        batch = np.empty(cfg.N)
+        scalar = np.empty(cfg.N)
+        for j in range(cfg.N):
+            hp = u.headings.copy()
+            hm = u.headings.copy()
+            hp[j] += GRAD_H
+            hm[j] -= GRAD_H
+            batch[j] = (ev(hp[None, :])[0][0] - ev(hm[None, :])[0][0]) / (2 * GRAD_H)
+            fp = evaluate_objective(prob, ControlSequence(headings=hp, speed=cfg.u_c))
+            fm = evaluate_objective(prob, ControlSequence(headings=hm, speed=cfg.u_c))
+            scalar[j] = (fp - fm) / (2 * GRAD_H)
+        np.testing.assert_array_equal(grad, batch, err_msg=f"seed {seed}")
+        np.testing.assert_allclose(grad, scalar, rtol=0.0, atol=1e-8,
+                                   err_msg=f"seed {seed}")
 
 
 def test_q_zero_collapses_to_plain_objective():
@@ -326,6 +335,32 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
                - evaluate_objective(prob, resp.sequence)) <= 1e-12
     assert abs(resp.constraint_max_violation
                - constraint_violations(prob, resp.sequence).max()) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case", ["desensitized_pursuer", "evader_true_disk", "deceptive_evader"])
+def test_batch_positions_equal_step_state_chain(case):
+    # Every row of a random batch, and the frozen opponent's track, must be
+    # the positions the step_state chain visits, bit for bit.
+    prob = _reported_value_problem(case)
+    cfg = prob.cfg
+    ev = _BatchEval(prob)
+    headings = np.random.default_rng(12).uniform(-7.0, 7.0, (6, cfg.N))
+    pos = ev.positions(headings)
+    assert pos.shape == (6, cfg.N, 2)
+    # The deceptive evader's opponent is a feedback model; any frozen
+    # pursuer sequence drives the chain, since only the evader is compared.
+    opp = prob.opponent_seq or constant_seq(0.0, cfg.N, cfg.u_c)
+    mine, theirs = (("x_p", "x_e") if prob.role is Role.PURSUER_MIN
+                    else ("x_e", "x_p"))
+    for row, row_pos in zip(headings, pos):
+        seq = ControlSequence(headings=row, speed=prob.my_speed)
+        states = rollout(prob.start_state, seq, opp, cfg)[1:]
+        np.testing.assert_array_equal(
+            row_pos, np.array([getattr(s, mine) for s in states]))
+        if prob.opponent_seq is not None:
+            np.testing.assert_array_equal(
+                ev.opp_pos, np.array([getattr(s, theirs) for s in states]))
 
 
 def test_no_feasible_sequence_raises():
