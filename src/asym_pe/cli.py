@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .game import ScenarioConfig, ValidationError
+from .game import ScenarioConfig, ValidationError, _as_number
 from .scenarios import PRESET_EXPECTATIONS, PRESETS, ParseError, load_scenario, time_band
 from .sensitivity import GridSpec
 from .sim import run, run_batch
@@ -60,16 +60,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_field(args) -> int:
     name, cfg = _load(args.scenario)
+    t = _as_number(args.t, "--t")
     try:
         parts = [float(x) for x in args.grid.split(",")]
     except ValueError:
         raise ParseError(f"bad --grid value {args.grid!r}") from None
     if len(parts) != 5:
         raise ParseError("--grid expects x1min,x1max,x2min,x2max,res")
-    grid = GridSpec(parts[0], parts[1], parts[2], parts[3], int(parts[4]))
+    grid = GridSpec(*parts)
     path = _out_path(args.out, f"{name}_field.csv")
-    path.write_text(write_field_csv(cfg, args.t, grid))
-    print(f"field={path} t={args.t:g} points={grid.resolution ** 2}")
+    path.write_text(write_field_csv(cfg, t, grid))
+    print(f"field={path} t={t:g} points={grid.resolution ** 2}")
     return 0
 
 

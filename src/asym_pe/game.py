@@ -149,11 +149,13 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"Q matrix must be {k}x{k} for {self.uncertainty_spec.value}, "
                     f"got shape {mat.shape}")
+            if not np.isfinite(mat).all():
+                raise ValidationError(f"Q matrix entries must be finite, got {q!r}")
             if not np.allclose(mat, mat.T):
                 raise ValidationError("Q matrix must be symmetric")
             if np.linalg.eigvalsh(mat).min() < -1e-12:
                 raise ValidationError("Q matrix must be positive semidefinite")
-            object.__setattr__(self, "Q", tuple(tuple(row) for row in mat))
+            object.__setattr__(self, "Q", tuple(map(tuple, mat.tolist())))
         self._validate()
 
     def _validate(self):

@@ -5,9 +5,10 @@ game by alternating best responses (Gauss-Seidel) until both heading
 sequences stop changing. The deceptive evader solves a single-player
 problem instead, replacing the pursuer with a pure-pursuit feedback model.
 
-Information asymmetry is enforced here: every best response inside the
-pursuer's game is constrained against the nominal obstacle, while the
-evader's own best responses use the true obstacle.
+Information asymmetry is fixed by the pair of players each game names
+(trajopt.Player): both players of the pursuer's game plan against the
+nominal obstacle; in the evader's game only the evader's own best
+responses use the true obstacle.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import ControlSequence, EvaderMode, GameState, ScenarioConfig, ValidationError
-from .trajopt import (
-    HorizonProblem,
-    ObjectiveKind,
-    ObstacleModel,
-    Role,
-    best_response,
-)
+from .trajopt import HorizonProblem, Player, best_response
 
 __all__ = [
     "GaussSeidelConfig",
@@ -72,9 +67,9 @@ def _residual(new: ControlSequence, old: ControlSequence) -> float:
 
 
 def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
-                  pursuer_objective: ObjectiveKind,
-                  evader_obstacle: ObstacleModel,
+                  players: tuple[Player, Player],
                   warm: tuple[ControlSequence, ControlSequence]) -> StepDecision:
+    pursuer, evader = players
     u_seq, v_seq = warm
     residual_u = math.inf
     residual_v = math.inf
@@ -87,15 +82,10 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
     # warm-started local solver would reach.
     for iters in range(1, gs.max_iters + 1):
         u_prev, v_prev = u_seq, v_seq
-        prob_p = HorizonProblem(
-            role=Role.PURSUER_MIN, objective=pursuer_objective, start_state=s,
-            opponent_seq=v_seq, obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
-        u_seq = best_response(prob_p, u_seq, n_starts=1).sequence
-        prob_e = HorizonProblem(
-            role=Role.EVADER_MAX, objective=ObjectiveKind.TERMINAL_DISTANCE,
-            start_state=s, opponent_seq=u_seq, obstacle_model=evader_obstacle,
-            cfg=cfg)
-        v_seq = best_response(prob_e, v_seq, n_starts=1).sequence
+        u_seq = best_response(
+            HorizonProblem(pursuer, s, v_seq, cfg), u_seq, n_starts=1).sequence
+        v_seq = best_response(
+            HorizonProblem(evader, s, u_seq, cfg), v_seq, n_starts=1).sequence
         residual_u = _residual(u_seq, u_prev)
         residual_v = _residual(v_seq, v_prev)
         if residual_u <= gs.conv_tol and residual_v <= gs.conv_tol:
@@ -114,17 +104,14 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
 
 
 def solve_pursuer_game(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
-                       desensitized: bool,
                        warm: tuple[ControlSequence, ControlSequence]) -> StepDecision:
     """The pursuer's horizon game, played entirely in nominal-obstacle terms.
 
-    The pursuer minimizes terminal distance (plus the sensitivity risk when
-    desensitized); its internal evader model maximizes terminal distance.
-    Neither side of this game may touch the true obstacle.
+    The pursuer minimizes terminal distance, plus the sensitivity risk when
+    Q != 0; its internal evader model maximizes terminal distance. Neither
+    side of this game may touch the true obstacle.
     """
-    objective = (ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK if desensitized
-                 else ObjectiveKind.TERMINAL_DISTANCE)
-    return _gauss_seidel(s, cfg, gs, objective, ObstacleModel.NOMINAL, warm)
+    return _gauss_seidel(s, cfg, gs, (Player.PURSUER, Player.EVADER_MODEL), warm)
 
 
 def solve_evader_original(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
@@ -132,11 +119,10 @@ def solve_evader_original(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConf
     """The evader's horizon game with its informed view of the obstacle.
 
     The modeled pursuer still plans against the nominal obstacle (the
-    evader knows the pursuer's information set); the evader's own best
-    responses avoid the true obstacle.
+    evader knows the pursuer's information set) and is risk-neutral, whatever
+    Q is; the evader's own best responses avoid the true obstacle.
     """
-    return _gauss_seidel(
-        s, cfg, gs, ObjectiveKind.TERMINAL_DISTANCE, ObstacleModel.TRUE, warm)
+    return _gauss_seidel(s, cfg, gs, (Player.PURSUER_MODEL, Player.EVADER), warm)
 
 
 def solve_evader_deceptive(s: GameState, cfg: ScenarioConfig,
@@ -144,11 +130,7 @@ def solve_evader_deceptive(s: GameState, cfg: ScenarioConfig,
     """Single-player deception solve against a pure-pursuit pursuer model."""
     if cfg.evader_mode is not EvaderMode.DECEPTIVE:
         raise ValidationError("deceptive solve requires evader_mode=deceptive")
-    prob = HorizonProblem(
-        role=Role.EVADER_MAX, objective=ObjectiveKind.DECEPTION_BLEND,
-        start_state=s, opponent_seq=None, obstacle_model=ObstacleModel.TRUE,
-        cfg=cfg)
-    resp = best_response(prob, warm)
+    resp = best_response(HorizonProblem(Player.DECEPTIVE_EVADER, s, None, cfg), warm)
     return StepDecision(
         u_head=math.nan,
         v_head=float(resp.sequence.headings[0]),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ScenarioConfig, ValidationError, constraint_g
+from .game import ScenarioConfig, ValidationError, _as_int, _as_number, constraint_g
 from .game import UncertaintySpec as US
 
 
@@ -121,9 +121,10 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(
+            self, "resolution", _as_int(self.resolution, "grid resolution"))
         for name in ("x1_min", "x1_max", "x2_min", "x2_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _as_number(getattr(self, name), name))
         if self.resolution < 2:
             raise ValidationError("grid resolution must be at least 2")
         if self.x1_max <= self.x1_min or self.x2_max <= self.x2_min:

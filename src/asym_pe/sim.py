@@ -76,8 +76,8 @@ class SimulationTrace:
 def plan_risk(cfg: ScenarioConfig, state: GameState, u_seq: ControlSequence) -> float:
     """Risk of the pursuer's horizon plan against the nominal obstacle.
 
-    Sensitivity time runs from the planning instant (the sensitivity ODE
-    restarts at each solve), while the nominal obstacle keeps game time.
+    Sensitivity time restarts at zero at the planning instant, while the
+    nominal obstacle keeps game time.
     """
     n = len(u_seq)
     ts = horizon_times(state.t, n, cfg.dt)
@@ -131,15 +131,13 @@ class _PursuerPipeline(_Pipeline):
 
     role = "pursuer"
 
-    def __init__(self, cfg: ScenarioConfig, desensitized: bool):
+    def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg, (cfg.u_c, cfg.v_c))
-        self.desensitized = desensitized
 
     def decide(self, state: GameState):
         warm = self._warm(state)
         try:
-            dec = solve_pursuer_game(state, self.cfg, _DEFAULT_GS,
-                                     self.desensitized, warm)
+            dec = solve_pursuer_game(state, self.cfg, _DEFAULT_GS, warm)
         except NoFeasibleSequence:
             return self._hold(state), None, True, warm[0]
         return self._advance(dec.u_head, (dec.u_seq, dec.v_seq)), dec, False, dec.u_seq
@@ -171,7 +169,7 @@ def run(cfg: ScenarioConfig) -> SimulationTrace:
     The pursuer desensitizes exactly when its risk weight is nonzero; the
     evader plays the mode selected in the config.
     """
-    pursuer = _PursuerPipeline(cfg, desensitized=not cfg.q_is_zero)
+    pursuer = _PursuerPipeline(cfg)
     evader = _EvaderPipeline(cfg)
     state = initial_state(cfg)
     records: list[SimRecord] = []
@@ -195,16 +193,13 @@ def run_batch(cfgs: list[ScenarioConfig]) -> list[SimulationTrace]:
     return [run(cfg) for cfg in cfgs]
 
 
-def replay_pursuer_decisions(cfg: ScenarioConfig, states: list[GameState],
-                             desensitized: bool | None = None) -> list[float]:
+def replay_pursuer_decisions(cfg: ScenarioConfig, states: list[GameState]) -> list[float]:
     """Re-run only the pursuer's pipeline over externally supplied states.
 
     Feeding the decision-time states of a finished run reproduces that
     run's u_head stream exactly; the function exists so tests can perturb
-    cfg fields the pursuer must not depend on (rho_true) or force the
-    desensitized flag, and compare streams bitwise.
+    cfg fields the pursuer must not depend on (rho_true) and compare
+    streams bitwise.
     """
-    if desensitized is None:
-        desensitized = not cfg.q_is_zero
-    pipeline = _PursuerPipeline(cfg, desensitized)
+    pipeline = _PursuerPipeline(cfg)
     return [pipeline.decide(s)[0] for s in states]

@@ -27,20 +27,26 @@ from .game import (
 from .sensitivity import rcs_sample, risk_of_sequence, weighted_terms
 
 
-class Role(Enum):
-    PURSUER_MIN = "pursuer_min"
-    EVADER_MAX = "evader_max"
+class Player(Enum):
+    """The horizon problems the game solves: who plans, against which disk.
 
+    The pursuer knows only the nominal obstacle velocity; the evader knows
+    the true one, and that the pursuer plans with the nominal one.
+    """
 
-class ObjectiveKind(Enum):
-    TERMINAL_DISTANCE = "terminal_distance"
-    TERMINAL_DISTANCE_PLUS_RISK = "terminal_distance_plus_risk"
-    DECEPTION_BLEND = "deception_blend"
+    PURSUER = "pursuer"  # its own plan; adds the risk term when Q != 0
+    EVADER_MODEL = "evader_model"  # the pursuer's model of the evader
+    PURSUER_MODEL = "pursuer_model"  # the evader's model of the pursuer, risk-neutral
+    EVADER = "evader"  # its own plan, against the true disk
+    DECEPTIVE_EVADER = "deceptive_evader"  # vs. a pure-pursuit model, true disk
 
+    @property
+    def pursues(self) -> bool:
+        return self in (Player.PURSUER, Player.PURSUER_MODEL)
 
-class ObstacleModel(Enum):
-    NOMINAL = "nominal"
-    TRUE = "true"
+    @property
+    def knows_true_disk(self) -> bool:
+        return self in (Player.EVADER, Player.DECEPTIVE_EVADER)
 
 
 class NoFeasibleSequence(RuntimeError):
@@ -80,50 +86,45 @@ def pure_pursuit_model(x_p_hat: np.ndarray, x_e: np.ndarray, u_c: float) -> np.n
 class HorizonProblem:
     """One player's fixed-opponent horizon optimization.
 
-    opponent_seq is None only for the deception objective, where the
-    opponent is the pure-pursuit model instead of a frozen sequence.
+    opponent_seq is None exactly for the deceptive evader, whose opponent
+    is the pure-pursuit model instead of a frozen sequence.
     """
 
-    role: Role
-    objective: ObjectiveKind
+    player: Player
     start_state: GameState
     opponent_seq: ControlSequence | None
-    obstacle_model: ObstacleModel
     cfg: ScenarioConfig
 
     def __post_init__(self):
-        if self.role is Role.PURSUER_MIN:
-            if self.obstacle_model is not ObstacleModel.NOMINAL:
-                raise ValidationError(
-                    "the pursuer can only constrain against the nominal obstacle")
-            if self.objective is ObjectiveKind.DECEPTION_BLEND:
-                raise ValidationError("deception objective is evader-side only")
-        elif self.objective is ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK:
-            raise ValidationError("risk objective is pursuer-side only")
-        if self.opponent_seq is None:
-            if self.objective is not ObjectiveKind.DECEPTION_BLEND:
-                raise ValidationError("opponent_seq required outside the deception game")
-        else:
+        if (self.opponent_seq is None) != (self.player is Player.DECEPTIVE_EVADER):
+            raise ValidationError(
+                "opponent_seq must be None exactly for the deceptive evader")
+        if self.opponent_seq is not None:
             if len(self.opponent_seq) != self.cfg.N:
                 raise ValidationError(
                     f"opponent_seq length {len(self.opponent_seq)} != N={self.cfg.N}")
-            want = self.cfg.v_c if self.role is Role.PURSUER_MIN else self.cfg.u_c
+            want = self.cfg.v_c if self.player.pursues else self.cfg.u_c
             if self.opponent_seq.speed != want:
-                raise ValidationError("opponent_seq speed does not match role")
+                raise ValidationError("opponent_seq speed does not match the player")
 
     @property
     def my_speed(self) -> float:
-        return self.cfg.u_c if self.role is Role.PURSUER_MIN else self.cfg.v_c
+        return self.cfg.u_c if self.player.pursues else self.cfg.v_c
 
     @property
     def my_start(self) -> np.ndarray:
         s = self.start_state
-        return s.x_p if self.role is Role.PURSUER_MIN else s.x_e
+        return s.x_p if self.player.pursues else s.x_e
 
     @property
     def sign(self) -> float:
         """Multiplier turning the raw payoff into a minimization target."""
-        return 1.0 if self.role is Role.PURSUER_MIN else -1.0
+        return 1.0 if self.player.pursues else -1.0
+
+    @property
+    def risk(self) -> bool:
+        """Whether the payoff adds the risk term; at Q = 0 it is exact zeros."""
+        return self.player is Player.PURSUER and not self.cfg.q_is_zero
 
 
 @dataclass(frozen=True)
@@ -133,15 +134,6 @@ class BestResponse:
     constraint_max_violation: float
     solver_iters: int
     converged: bool
-
-
-def _effective_objective(prob: HorizonProblem) -> ObjectiveKind:
-    # Zero risk weight collapses the desensitized objective onto the plain
-    # one so both take the identical code path.
-    if (prob.objective is ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK
-            and prob.cfg.q_is_zero):
-        return ObjectiveKind.TERMINAL_DISTANCE
-    return prob.objective
 
 
 def horizon_times(t0: float, n: int, dt: float) -> np.ndarray:
@@ -198,16 +190,14 @@ def _deception_terminals(start: GameState, v_seq: ControlSequence,
 def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
     """Raw payoff of one heading sequence (unpenalized, unsigned)."""
     cfg = prob.cfg
-    objective = _effective_objective(prob)
-    if objective is ObjectiveKind.DECEPTION_BLEND:
+    if prob.player is Player.DECEPTIVE_EVADER:
         xp_hat, x_e_term, w_true = _deception_terminals(prob.start_state, seq, cfg)
         return (cfg.alpha_o * float(np.linalg.norm(xp_hat - x_e_term))
                 - cfg.alpha_d * float(np.linalg.norm(xp_hat - w_true)))
     states = rollout(prob.start_state, seq, prob.opponent_seq, cfg)
     value = float(np.linalg.norm(states[-1].x_p - states[-1].x_e))
-    if objective is ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK:
-        # Sensitivity time restarts at each planning step: the sensitivity
-        # ODE integrates from zero at the start of every horizon solve, so
+    if prob.risk:
+        # Sensitivity time restarts at zero at each planning step, so
         # uncertainty acts over the lookahead, not over elapsed game time.
         rel_ts = horizon_times(0.0, len(seq), cfg.dt)
         samples = [rcs_sample(s.x_p, s.x_w_nominal, tau, cfg)
@@ -232,7 +222,8 @@ class _BatchEval:
         self.cfg = cfg
         self.n = cfg.N
         self.dt = cfg.dt
-        self.objective = _effective_objective(prob)
+        self.deceptive = prob.player is Player.DECEPTIVE_EVADER
+        self.risk = prob.risk
         self.speed = prob.my_speed
         self.my_start = prob.my_start
         self.ts = horizon_times(s0.t, self.n, cfg.dt)
@@ -240,16 +231,12 @@ class _BatchEval:
         w0 = np.asarray(cfg.obstacle_start)
         self.w_nominal = w0 + np.asarray(cfg.rho_nominal) * self.ts[:, None]
         # The true obstacle stream is materialized only where the problem
-        # is allowed to know it; pursuer-side problems never touch rho_true.
-        need_true = (prob.obstacle_model is ObstacleModel.TRUE
-                     or self.objective is ObjectiveKind.DECEPTION_BLEND)
+        # is allowed to know it; no model of the other side touches rho_true.
         self.w_true = (w0 + np.asarray(cfg.rho_true) * self.ts[:, None]
-                       if need_true else None)
-        self.w_model = (self.w_nominal
-                        if prob.obstacle_model is ObstacleModel.NOMINAL
-                        else self.w_true)
+                       if prob.player.knows_true_disk else None)
+        self.w_model = self.w_nominal if self.w_true is None else self.w_true
         if prob.opponent_seq is not None:
-            opp_start = s0.x_e if prob.role is Role.PURSUER_MIN else s0.x_p
+            opp_start = s0.x_e if prob.player.pursues else s0.x_p
             self.opp_pos = track(opp_start, prob.opponent_seq.velocities(), cfg.dt)
         else:
             self.opp_pos = None
@@ -283,7 +270,7 @@ class _BatchEval:
         viol = self.violations(pos)
         pen = np.sum(viol * viol, axis=-1)
         viol_max = viol.max(axis=-1)
-        if self.objective is ObjectiveKind.DECEPTION_BLEND:
+        if self.deceptive:
             b = pos.shape[0]
             xp = np.broadcast_to(self.x_p0, (b, 2))
             e_prev = np.broadcast_to(self.x_e0, (b, 2))
@@ -297,7 +284,7 @@ class _BatchEval:
                        - cfg.alpha_d * np.linalg.norm(xp - self.w_true[-1], axis=-1))
         else:
             raw = np.linalg.norm(pos[:, -1] - self.opp_pos[-1], axis=-1)
-            if self.objective is ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK:
+            if self.risk:
                 raw = raw + np.sum(
                     weighted_terms(pos - self.w_nominal, self.rel_ts, cfg),
                     axis=-1)
@@ -349,7 +336,7 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
     if len(init) != n:
         raise ValidationError(f"init length {len(init)} != N={n}")
     if init.speed != prob.my_speed:
-        raise ValidationError("init speed does not match the optimizing role")
+        raise ValidationError("init speed does not match the optimizing player")
     ev = _BatchEval(prob)
     sign = prob.sign
     mu_arr = np.asarray(MU_SCHEDULE)

@@ -27,16 +27,10 @@ from asym_pe.game import (
 )
 from asym_pe.game import COLLISION_TOL
 from asym_pe.scenarios import PRESET_EXPECTATIONS, preset, time_band
-from asym_pe.sensitivity import _s_g_rows, rcs_sample
+from asym_pe.sensitivity import _s_g_rows, rcs_sample, weighted_terms
 from asym_pe.sim import replay_pursuer_decisions, run
 from asym_pe.trace_io import parse_trace_csv, write_trace_csv
-from asym_pe.trajopt import (
-    HorizonProblem,
-    ObjectiveKind,
-    ObstacleModel,
-    Role,
-    best_response,
-)
+from asym_pe.trajopt import HorizonProblem, Player, _BatchEval, best_response
 from oracles import chain_constraint_row, propagate_sensitivity_ode
 
 MAX_WALL_SECONDS = 60.0
@@ -301,16 +295,28 @@ def test_field_zero_along_nominal_direction():
 
 
 def test_zero_weight_risk_path_is_identical():
-    # With zero risk weight, the risk-aware decision path must follow the
-    # plain one bit for bit across a whole run.
+    # With zero risk weight the pursuer skips its risk term. That must drop
+    # exact zeros: at every decision state of a whole run, a random batch
+    # scores bit for bit as distance plus the summed weighted terms.
     trace, _ = run_preset("fig2_collision")
-    states = [r.state for r in trace.decision_records]
-    original = [r.u_head for r in trace.decision_records]
-    risk_path = replay_pursuer_decisions(trace.cfg, states, desensitized=True)
-    plain_path = replay_pursuer_decisions(trace.cfg, states, desensitized=False)
-    ok = risk_path == original == plain_path
+    cfg = trace.cfg
+    assert cfg.q_is_zero
+    rng = np.random.default_rng(31)
+    rows = mismatches = 0
+    for rec in trace.decision_records:
+        v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
+        ev = _BatchEval(HorizonProblem(Player.PURSUER, rec.state, v, cfg))
+        headings = rng.uniform(-7, 7, (16, cfg.N))
+        pos = ev.positions(headings)
+        raw = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
+        risk_path = raw + np.sum(
+            weighted_terms(pos - ev.w_nominal, ev.rel_ts, cfg), axis=-1)
+        mismatches += int(np.sum(ev(headings)[0] != risk_path))
+        rows += len(headings)
+    ok = mismatches == 0
     line = report("zero-weight equivalence", ok,
-                  f"{len(original)} decisions compared bitwise")
+                  f"{rows} batch rows at {len(trace.decision_records)} decision "
+                  f"states compared bitwise, {mismatches} differ")
     assert ok, line
 
 
@@ -352,25 +358,23 @@ def test_best_response_vs_heading_grid():
         state = GameState(t=0.0, x_p=p, x_e=e,
                           x_w_true=np.array([1e6, 1e6]),
                           x_w_nominal=np.array([1e6, 1e6]))
-        role = Role.PURSUER_MIN if trial % 2 == 0 else Role.EVADER_MAX
-        opp_speed = base.v_c if role is Role.PURSUER_MIN else base.u_c
-        my_speed = base.u_c if role is Role.PURSUER_MIN else base.v_c
+        pursues = trial % 2 == 0
+        opp_speed = base.v_c if pursues else base.u_c
+        my_speed = base.u_c if pursues else base.v_c
         opp = ControlSequence(
             headings=np.full(base.N, rng.uniform(-math.pi, math.pi)),
             speed=opp_speed)
-        prob = HorizonProblem(role=role,
-                              objective=ObjectiveKind.TERMINAL_DISTANCE,
-                              start_state=state, opponent_seq=opp,
-                              obstacle_model=ObstacleModel.NOMINAL, cfg=base)
+        player = Player.PURSUER if pursues else Player.EVADER_MODEL
+        prob = HorizonProblem(player, state, opp, base)
         los = line_of_sight_heading(p, e)
         init = ControlSequence(headings=np.full(base.N, los), speed=my_speed)
         resp = best_response(prob, init)
-        my_start = p if role is Role.PURSUER_MIN else e
-        opp_start = e if role is Role.PURSUER_MIN else p
+        my_start = p if pursues else e
+        opp_start = e if pursues else p
         my_term = my_start + base.N * base.dt * my_speed * unit
         opp_term = opp_start + np.sum(opp.velocities() * base.dt, axis=0)
         dist = np.linalg.norm(my_term - opp_term, axis=-1)
-        grid_val = float(dist.min() if role is Role.PURSUER_MIN else dist.max())
+        grid_val = float(dist.min() if pursues else dist.max())
         worst = max(worst, abs(resp.objective_value - grid_val))
     ok = worst <= 1e-3
     line = report("best-response grid oracle", ok,

@@ -108,6 +108,23 @@ def test_bad_grid_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t,grid,message", [
+    ("nan", "0,4,-1,3,5", "error: --t must be a finite number"),
+    ("inf", "0,4,-1,3,5", "error: --t must be a finite number"),
+    ("1.0", "nan,8,-4,4,5", "error: x1_min must be a finite number"),
+    ("1.0", "-2,inf,-4,4,5", "error: x1_max must be a finite number"),
+    ("1.0", "0,4,-1,3,5.9", "error: grid resolution must be an integer"),
+])
+def test_field_rejects_nonfinite_or_fractional_input(tmp_path, capsys, t, grid,
+                                                    message):
+    out = tmp_path / "fields"
+    rc = cli.main(["field", "fig2_collision", "--t", t, f"--grid={grid}",
+                   "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_seed_override(monkeypatch, tmp_path, fast_file, capsys):
     monkeypatch.chdir(tmp_path)  # the default --out is the cwd
     monkeypatch.setenv(cli.ENV_SEED, "12345")

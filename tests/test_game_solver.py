@@ -51,7 +51,7 @@ def test_collinear_no_obstacle_converges_immediately():
     # is already optimal for both, so the loop stops within two sweeps.
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
-    dec = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), False, los_warm(cfg, s0))
+    dec = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), los_warm(cfg, s0))
     assert dec.converged
     assert dec.iters <= 2
     los = line_of_sight_heading(s0.x_p, s0.x_e)
@@ -67,7 +67,7 @@ def test_fig2_first_heading_near_line_of_sight():
     # evader, modulo game curvature.
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
-    dec = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), False, los_warm(cfg, s0))
+    dec = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), los_warm(cfg, s0))
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     assert angle_diff(dec.u_head, los) <= 0.15
 
@@ -87,9 +87,9 @@ def test_pursuer_game_never_reads_true_velocity():
     cfg = preset("fig3_desensitized")
     s0 = initial_state(cfg)
     warm = los_warm(cfg, s0)
-    dec_a = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), True, warm)
+    dec_a = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), warm)
     cfg_b = replace(cfg, rho_true=(0.2, 0.3))
-    dec_b = solve_pursuer_game(s0, cfg_b, GaussSeidelConfig(), True, warm)
+    dec_b = solve_pursuer_game(s0, cfg_b, GaussSeidelConfig(), warm)
     np.testing.assert_array_equal(dec_a.u_seq.headings, dec_b.u_seq.headings)
     np.testing.assert_array_equal(dec_a.v_seq.headings, dec_b.v_seq.headings)
     assert dec_a.u_head == dec_b.u_head
@@ -99,8 +99,8 @@ def test_solver_is_deterministic():
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
     warm = los_warm(cfg, s0)
-    dec_a = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), False, warm)
-    dec_b = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), False, warm)
+    dec_a = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), warm)
+    dec_b = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), warm)
     np.testing.assert_array_equal(dec_a.u_seq.headings, dec_b.u_seq.headings)
     np.testing.assert_array_equal(dec_a.v_seq.headings, dec_b.v_seq.headings)
     assert dec_a.iters == dec_b.iters
@@ -108,13 +108,37 @@ def test_solver_is_deterministic():
 
 def test_iteration_cap_respected():
     # With an impossibly tight tolerance the loop must stop at max_iters
-    # and report non-convergence honestly.
+    # and report non-convergence honestly. Line-of-sight warm starts are an
+    # exact fixed point on fig2, so constant off-line headings are used.
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
     gs = GaussSeidelConfig(conv_tol=1e-15, max_iters=2)
-    dec = solve_pursuer_game(s0, cfg, gs, False, los_warm(cfg, s0))
-    assert dec.iters <= 2
+    warm = (ControlSequence(headings=np.full(cfg.N, 0.3), speed=cfg.u_c),
+            ControlSequence(headings=np.full(cfg.N, -0.4), speed=cfg.v_c))
+    dec = solve_pursuer_game(s0, cfg, gs, warm)
+    assert dec.iters == gs.max_iters
+    assert not dec.converged
     assert np.isfinite(dec.residual_u) and np.isfinite(dec.residual_v)
+    assert max(dec.residual_u, dec.residual_v) > gs.conv_tol
+
+
+def test_evaders_pursuer_model_is_risk_neutral():
+    # The evader models a pursuer that ignores risk, whatever Q is, while
+    # the pursuer's own game does change with Q.
+    cfg1 = preset("fig3_desensitized")
+    cfg3 = replace(cfg1, Q=3.0)
+    s0 = initial_state(cfg1)
+    warm = los_warm(cfg1, s0)
+    gs = GaussSeidelConfig()
+    evader1 = solve_evader_original(s0, cfg1, gs, warm)
+    evader3 = solve_evader_original(s0, cfg3, gs, warm)
+    np.testing.assert_array_equal(evader1.u_seq.headings, evader3.u_seq.headings)
+    np.testing.assert_array_equal(evader1.v_seq.headings, evader3.v_seq.headings)
+    assert (evader1.iters, evader1.residual_u, evader1.residual_v) == (
+        evader3.iters, evader3.residual_u, evader3.residual_v)
+    pursuer1 = solve_pursuer_game(s0, cfg1, gs, warm)
+    pursuer3 = solve_pursuer_game(s0, cfg3, gs, warm)
+    assert not np.array_equal(pursuer1.u_seq.headings, pursuer3.u_seq.headings)
 
 
 def test_deceptive_decision_shape():

@@ -1,0 +1,97 @@
+"""Properties of scenario configs over generated inputs, not only presets."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from asym_pe.game import EvaderMode, ScenarioConfig, UncertaintySpec, ValidationError
+from asym_pe.scenarios import parse_scenario, serialize_scenario
+
+# Derandomized: the same examples on every run, so a failure reproduces.
+FAST = settings(max_examples=60, derandomize=True, deadline=None)
+
+SCALAR_FIELDS = ("u_c", "v_c", "epsilon", "r_o", "dt", "t_max", "alpha_o",
+                 "alpha_d", "relevance_scale", "Q", "N", "seed")
+PAIR_FIELDS = ("pursuer_start", "evader_start", "obstacle_start", "rho_nominal",
+               "rho_true")
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _finite(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _pair(lo: float, hi: float):
+    return st.tuples(_finite(lo, hi), _finite(lo, hi))
+
+
+@st.composite
+def _q(draw, spec: UncertaintySpec):
+    if draw(st.booleans()):
+        return draw(_finite(0.0, 5.0))
+    k = spec.n_params
+    a = np.array(draw(st.lists(_finite(-2.0, 2.0), min_size=k * k, max_size=k * k)))
+    a = a.reshape(k, k)
+    return tuple(map(tuple, (a @ a.T).tolist()))
+
+
+@st.composite
+def scenario_configs(draw) -> ScenarioConfig:
+    """Valid configs: starts outside the disk and apart, u_c > v_c."""
+    r_o = draw(_finite(0.1, 2.0))
+    epsilon = draw(_finite(0.05, 0.5))
+    obstacle = draw(_pair(-5.0, 5.0))
+
+    def outside_disk():
+        angle = draw(_finite(-math.pi, math.pi))
+        dist = r_o + draw(_finite(0.01, 6.0))
+        return (obstacle[0] + dist * math.cos(angle),
+                obstacle[1] + dist * math.sin(angle))
+
+    pursuer = outside_disk()
+    evader = outside_disk()
+    assume(math.dist(pursuer, evader) > epsilon)
+    u_c = draw(_finite(0.2, 3.0))
+    spec = draw(st.sampled_from(UncertaintySpec))
+    mapping = dict(
+        pursuer_start=pursuer, evader_start=evader, obstacle_start=obstacle,
+        u_c=u_c, v_c=u_c * draw(_finite(0.05, 0.95)), epsilon=epsilon, r_o=r_o,
+        rho_nominal=draw(_pair(-1.0, 1.0)), rho_true=draw(_pair(-1.0, 1.0)),
+        uncertainty_spec=spec, N=draw(st.integers(1, 30)),
+        dt=draw(_finite(0.01, 0.5)), Q=draw(_q(spec)),
+        alpha_o=draw(_finite(0.0, 2.0)), alpha_d=draw(_finite(0.0, 2.0)),
+        evader_mode=draw(st.sampled_from(EvaderMode)),
+        t_max=draw(_finite(0.1, 20.0)), seed=draw(st.integers(0, 2 ** 32)),
+        relevance_scale=draw(_finite(0.1, 5.0)))
+    return ScenarioConfig(**mapping)
+
+
+@FAST
+@given(scenario_configs())
+def test_serialize_scenario_round_trips(cfg):
+    assert parse_scenario(serialize_scenario(cfg)) == cfg
+
+
+def _with_entry(value, index: int, bad: float):
+    """value with one entry, of a pair or of a Q matrix's diagonal, set to bad."""
+    if isinstance(value, tuple) and isinstance(value[0], tuple):
+        rows = [list(row) for row in value]
+        rows[index % len(rows)][index % len(rows)] = bad
+        return rows
+    if isinstance(value, tuple):
+        return [bad if i == index else x for i, x in enumerate(value)]
+    return bad
+
+
+@FAST
+@given(scenario_configs())
+def test_every_numeric_field_refuses_non_finite(cfg):
+    for name in SCALAR_FIELDS + PAIR_FIELDS:
+        for bad in NON_FINITE:
+            for index in (0, 1):
+                with pytest.raises(ValidationError):
+                    replace(cfg, **{name: _with_entry(getattr(cfg, name), index, bad)})

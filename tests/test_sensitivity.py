@@ -225,6 +225,17 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 0.0, 1.0, 1)
     with pytest.raises(ValidationError):
         GridSpec(1.0, 0.0, 0.0, 1.0, 5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            extents = [0.0, 1.0, 0.0, 1.0]
+            extents[i] = bad
+            with pytest.raises(ValidationError, match="must be a finite number"):
+                GridSpec(*extents, 5)
+        with pytest.raises(ValidationError):
+            GridSpec(0.0, 1.0, 0.0, 1.0, bad)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        GridSpec(0.0, 1.0, 0.0, 1.0, 5.9)
+    assert GridSpec(0.0, 1.0, 0.0, 1.0, 5.0).resolution == 5
     axes = GridSpec(0.0, 1.0, -1.0, 1.0, 3).axes()
     np.testing.assert_allclose(axes[0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(axes[1], [-1.0, 0.0, 1.0])

@@ -21,9 +21,7 @@ from asym_pe.trajopt import (
     CoincidentPositions,
     HorizonProblem,
     NoFeasibleSequence,
-    ObjectiveKind,
-    ObstacleModel,
-    Role,
+    Player,
     _BatchEval,
     best_response,
     constraint_violations,
@@ -65,11 +63,11 @@ def constant_heading_oracle(prob: HorizonProblem) -> tuple[float, float]:
     n = cfg.N
     vel = prob.my_speed * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
     my_term = prob.my_start + n * cfg.dt * vel
-    opp_start = (prob.start_state.x_e if prob.role is Role.PURSUER_MIN
+    opp_start = (prob.start_state.x_e if prob.player.pursues
                  else prob.start_state.x_p)
     opp_term = opp_start + np.sum(prob.opponent_seq.velocities() * cfg.dt, axis=0)
     dist = np.linalg.norm(my_term - opp_term, axis=-1)
-    if prob.role is Role.PURSUER_MIN:
+    if prob.player.pursues:
         k = int(np.argmin(dist))
     else:
         k = int(np.argmax(dist))
@@ -96,40 +94,59 @@ def test_problem_validation():
     cfg = make_cfg()
     s0 = initial_state(cfg)
     v_seq = constant_seq(0.0, cfg.N, cfg.v_c)
+    u_seq = constant_seq(0.0, cfg.N, cfg.u_c)
     with pytest.raises(ValidationError):
-        HorizonProblem(role=Role.PURSUER_MIN,
-                       objective=ObjectiveKind.TERMINAL_DISTANCE,
-                       start_state=s0, opponent_seq=v_seq,
-                       obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+        # Opponent sequence at the wrong speed for the player.
+        HorizonProblem(Player.PURSUER, s0, u_seq, cfg)
     with pytest.raises(ValidationError):
-        HorizonProblem(role=Role.PURSUER_MIN,
-                       objective=ObjectiveKind.DECEPTION_BLEND,
-                       start_state=s0, opponent_seq=v_seq,
-                       obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+        HorizonProblem(Player.EVADER, s0, v_seq, cfg)
     with pytest.raises(ValidationError):
-        HorizonProblem(role=Role.EVADER_MAX,
-                       objective=ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK,
-                       start_state=s0,
-                       opponent_seq=constant_seq(0.0, cfg.N, cfg.u_c),
-                       obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+        HorizonProblem(Player.PURSUER_MODEL, s0,
+                       constant_seq(0.0, cfg.N + 1, cfg.v_c), cfg)
+    # A frozen opponent sequence exactly when the opponent is not the
+    # deceptive evader's pure-pursuit model.
+    for player in set(Player) - {Player.DECEPTIVE_EVADER}:
+        with pytest.raises(ValidationError):
+            HorizonProblem(player, s0, None, cfg)
     with pytest.raises(ValidationError):
-        # Opponent sequence at the wrong speed for the role.
-        HorizonProblem(role=Role.PURSUER_MIN,
-                       objective=ObjectiveKind.TERMINAL_DISTANCE,
-                       start_state=s0,
-                       opponent_seq=constant_seq(0.0, cfg.N, cfg.u_c),
-                       obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
-    with pytest.raises(ValidationError):
-        HorizonProblem(role=Role.PURSUER_MIN,
-                       objective=ObjectiveKind.TERMINAL_DISTANCE,
-                       start_state=s0,
-                       opponent_seq=constant_seq(0.0, cfg.N + 1, cfg.v_c),
-                       obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
-    with pytest.raises(ValidationError):
-        HorizonProblem(role=Role.EVADER_MAX,
-                       objective=ObjectiveKind.TERMINAL_DISTANCE,
-                       start_state=s0, opponent_seq=None,
-                       obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+        HorizonProblem(Player.DECEPTIVE_EVADER, s0, u_seq, cfg)
+
+
+# player: (plans the pursuer's path, against the true disk, risk when Q != 0)
+PLAYER_TABLE = {
+    Player.PURSUER: (True, False, True),
+    Player.EVADER_MODEL: (False, False, False),
+    Player.PURSUER_MODEL: (True, False, False),
+    Player.EVADER: (False, True, False),
+    Player.DECEPTIVE_EVADER: (False, True, False),
+}
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+@pytest.mark.parametrize("player", list(Player), ids=lambda p: p.value)
+def test_player_speed_start_sign_disk_and_risk(player, q):
+    pursues, true_disk, risk = PLAYER_TABLE[player]
+    cfg = replace(preset("fig7_deception_collision"), Q=q)
+    s0 = initial_state(cfg)
+    opp = (None if player is Player.DECEPTIVE_EVADER
+           else constant_seq(0.2, cfg.N, cfg.v_c if pursues else cfg.u_c))
+    prob = HorizonProblem(player, s0, opp, cfg)
+    assert prob.my_speed == (cfg.u_c if pursues else cfg.v_c)
+    assert prob.my_start is (s0.x_p if pursues else s0.x_e)
+    assert prob.sign == (1.0 if pursues else -1.0)
+    ev = _BatchEval(prob)
+    if true_disk:
+        assert ev.w_model is ev.w_true
+    else:
+        assert ev.w_true is None and ev.w_model is ev.w_nominal
+    headings = np.random.default_rng(3).uniform(-3.0, 3.0, (5, cfg.N))
+    raw = ev(headings)[0]
+    if player is not Player.DECEPTIVE_EVADER:
+        pos = ev.positions(headings)
+        distance = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
+        carries_risk = not np.array_equal(raw, distance)
+        assert carries_risk == (risk and q != 0.0)
+    assert prob.risk == (risk and q != 0.0)
 
 
 def test_rollout_matches_step_state_chain():
@@ -160,10 +177,7 @@ def test_gradient_matches_sequential_finite_differences():
     for seed in (4, 7, 14, 22, 45, 60):
         rng = np.random.default_rng(seed)
         v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
-        prob = HorizonProblem(role=Role.PURSUER_MIN,
-                              objective=ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK,
-                              start_state=s0, opponent_seq=v,
-                              obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+        prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
         u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
         grad = objective_gradient(prob, u)
         ev = _BatchEval(prob)
@@ -184,17 +198,14 @@ def test_gradient_matches_sequential_finite_differences():
 
 
 def test_q_zero_collapses_to_plain_objective():
+    # With Q = 0 the pursuer's own problem is the risk-neutral one the
+    # evader models it by: same payoff, same best response, bit for bit.
     cfg = make_cfg(Q=0.0)
     s0 = initial_state(cfg)
     v = constant_seq(0.3, cfg.N, cfg.v_c)
     u = constant_seq(-0.2, cfg.N, cfg.u_c)
-    probs = [
-        HorizonProblem(role=Role.PURSUER_MIN, objective=obj, start_state=s0,
-                       opponent_seq=v, obstacle_model=ObstacleModel.NOMINAL,
-                       cfg=cfg)
-        for obj in (ObjectiveKind.TERMINAL_DISTANCE,
-                    ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK)
-    ]
+    probs = [HorizonProblem(player, s0, v, cfg)
+             for player in (Player.PURSUER_MODEL, Player.PURSUER)]
     assert evaluate_objective(probs[0], u) == evaluate_objective(probs[1], u)
     resp0 = best_response(probs[0], u)
     resp1 = best_response(probs[1], u)
@@ -209,10 +220,7 @@ def test_pursuer_best_response_matches_grid_oracle():
     cfg = make_cfg(N=5, dt=0.2, **FAR_OBSTACLE)
     s0 = initial_state(cfg)
     v = constant_seq(math.pi / 4, cfg.N, cfg.v_c)
-    prob = HorizonProblem(role=Role.PURSUER_MIN,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE,
-                          start_state=s0, opponent_seq=v,
-                          obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
     resp = best_response(prob, init)
     oracle_val, _ = constant_heading_oracle(prob)
@@ -226,10 +234,7 @@ def test_evader_flee_is_local_optimum():
     s0 = initial_state(cfg)
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     u = constant_seq(los, cfg.N, cfg.u_c)  # pursuer heads straight at evader
-    prob = HorizonProblem(role=Role.EVADER_MAX,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE,
-                          start_state=s0, opponent_seq=u,
-                          obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+    prob = HorizonProblem(Player.EVADER, s0, u, cfg)
     flee = constant_seq(los, cfg.N, cfg.v_c)  # continue along the line of sight
     resp = best_response(prob, flee)
     flee_val = evaluate_objective(prob, flee)
@@ -244,10 +249,7 @@ def test_deceptive_response_drags_modeled_pursuer_toward_obstacle():
     # as plain fleeing, i.e. end the modeled pursuer at least as close.
     cfg = preset("fig7_deception_collision")
     s0 = initial_state(cfg)
-    prob = HorizonProblem(role=Role.EVADER_MAX,
-                          objective=ObjectiveKind.DECEPTION_BLEND,
-                          start_state=s0, opponent_seq=None,
-                          obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+    prob = HorizonProblem(Player.DECEPTIVE_EVADER, s0, None, cfg)
     flee = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
     resp = best_response(prob, flee)
     flee_val = evaluate_objective(prob, flee)
@@ -263,10 +265,7 @@ def test_returned_plans_are_feasible_near_obstacle():
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
     v = constant_seq(0.0, cfg.N, cfg.v_c)
-    prob = HorizonProblem(role=Role.PURSUER_MIN,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE,
-                          start_state=s0, opponent_seq=v,
-                          obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
     resp = best_response(prob, init)
     viol = constraint_violations(prob, resp.sequence)
@@ -279,10 +278,7 @@ def test_feasible_init_never_gets_worse():
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
     v = constant_seq(0.0, cfg.N, cfg.v_c)
-    prob = HorizonProblem(role=Role.PURSUER_MIN,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE,
-                          start_state=s0, opponent_seq=v,
-                          obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
     rng = np.random.default_rng(8)
     for _ in range(5):
         init = ControlSequence(headings=rng.uniform(-math.pi, math.pi, cfg.N),
@@ -297,24 +293,14 @@ def _reported_value_problem(case: str) -> HorizonProblem:
         cfg = preset("fig3_desensitized")
         s0 = initial_state(cfg)
         v = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
-        return HorizonProblem(
-            role=Role.PURSUER_MIN,
-            objective=ObjectiveKind.TERMINAL_DISTANCE_PLUS_RISK,
-            start_state=s0, opponent_seq=v,
-            obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+        return HorizonProblem(Player.PURSUER, s0, v, cfg)
     if case == "evader_true_disk":
         cfg = preset("fig2_collision")
         s0 = initial_state(cfg)
         u = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
-        return HorizonProblem(
-            role=Role.EVADER_MAX, objective=ObjectiveKind.TERMINAL_DISTANCE,
-            start_state=s0, opponent_seq=u,
-            obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+        return HorizonProblem(Player.EVADER, s0, u, cfg)
     cfg = preset("fig7_deception_collision")
-    return HorizonProblem(
-        role=Role.EVADER_MAX, objective=ObjectiveKind.DECEPTION_BLEND,
-        start_state=initial_state(cfg), opponent_seq=None,
-        obstacle_model=ObstacleModel.TRUE, cfg=cfg)
+    return HorizonProblem(Player.DECEPTIVE_EVADER, initial_state(cfg), None, cfg)
 
 
 @pytest.mark.parametrize(
@@ -351,8 +337,7 @@ def test_batch_positions_equal_step_state_chain(case):
     # The deceptive evader's opponent is a feedback model; any frozen
     # pursuer sequence drives the chain, since only the evader is compared.
     opp = prob.opponent_seq or constant_seq(0.0, cfg.N, cfg.u_c)
-    mine, theirs = (("x_p", "x_e") if prob.role is Role.PURSUER_MIN
-                    else ("x_e", "x_p"))
+    mine, theirs = ("x_p", "x_e") if prob.player.pursues else ("x_e", "x_p")
     for row, row_pos in zip(headings, pos):
         seq = ControlSequence(headings=row, speed=prob.my_speed)
         states = rollout(prob.start_state, seq, opp, cfg)[1:]
@@ -372,10 +357,7 @@ def test_no_feasible_sequence_raises():
         uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN, N=3, Q=0.0)
     s0 = initial_state(cfg)
     v = constant_seq(math.pi, cfg.N, cfg.v_c)
-    prob = HorizonProblem(role=Role.PURSUER_MIN,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE,
-                          start_state=s0, opponent_seq=v,
-                          obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
     init = constant_seq(math.pi, cfg.N, cfg.u_c)
     with pytest.raises(NoFeasibleSequence):
         best_response(prob, init)
@@ -385,10 +367,7 @@ def test_best_response_input_validation():
     cfg = make_cfg()
     s0 = initial_state(cfg)
     v = constant_seq(0.0, cfg.N, cfg.v_c)
-    prob = HorizonProblem(role=Role.PURSUER_MIN,
-                          objective=ObjectiveKind.TERMINAL_DISTANCE,
-                          start_state=s0, opponent_seq=v,
-                          obstacle_model=ObstacleModel.NOMINAL, cfg=cfg)
+    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
     with pytest.raises(ValidationError):
         best_response(prob, constant_seq(0.0, cfg.N - 1, cfg.u_c))
     with pytest.raises(ValidationError):
@@ -410,10 +389,7 @@ def test_deception_needs_true_obstacle_geometry():
     seq = constant_seq(0.5, cfg.N, cfg.v_c)
 
     def value(c):
-        prob = HorizonProblem(role=Role.EVADER_MAX,
-                              objective=ObjectiveKind.DECEPTION_BLEND,
-                              start_state=s0, opponent_seq=None,
-                              obstacle_model=ObstacleModel.TRUE, cfg=c)
+        prob = HorizonProblem(Player.DECEPTIVE_EVADER, s0, None, c)
         return evaluate_objective(prob, seq)
 
     flipped = replace(cfg, rho_true=(0.35, 0.0))
