@@ -22,6 +22,7 @@ from .game import ControlSequence, EvaderMode, GameState, ScenarioConfig, Valida
 from .trajopt import HorizonProblem, Player, best_response
 
 __all__ = [
+    "GAUSS_SEIDEL",
     "GaussSeidelConfig",
     "StepDecision",
     "solve_evader_deceptive",
@@ -32,14 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussSeidelConfig:
+    """The step game's stopping rule: both residuals within conv_tol, or max_iters."""
+
     conv_tol: float = 5e-3
     max_iters: int = 50
 
-    def __post_init__(self):
-        if self.conv_tol <= 0:
-            raise ValidationError("conv_tol must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be at least 1")
+
+GAUSS_SEIDEL = GaussSeidelConfig()
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def _residual(new: ControlSequence, old: ControlSequence) -> float:
     return float(np.linalg.norm(new.velocities() - old.velocities()))
 
 
-def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
-                  players: tuple[Player, Player],
+def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Player],
                   warm: tuple[ControlSequence, ControlSequence]) -> StepDecision:
     pursuer, evader = players
     u_seq, v_seq = warm
@@ -75,17 +74,11 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
     residual_v = math.inf
     converged = False
     iters = 0
-    # Best responses run from the warm iterate only (n_starts=1), mirroring
-    # warm-started per-block local solves. Multi-start winners hopping
-    # between distant local optima on successive iterations turn the
-    # fixed-point iteration into a limit cycle and select equilibria no
-    # warm-started local solver would reach.
+    gs = GAUSS_SEIDEL
     for iters in range(1, gs.max_iters + 1):
         u_prev, v_prev = u_seq, v_seq
-        u_seq = best_response(
-            HorizonProblem(pursuer, s, v_seq, cfg), u_seq, n_starts=1).sequence
-        v_seq = best_response(
-            HorizonProblem(evader, s, u_seq, cfg), v_seq, n_starts=1).sequence
+        u_seq = best_response(HorizonProblem(pursuer, s, v_seq, cfg), u_seq).sequence
+        v_seq = best_response(HorizonProblem(evader, s, u_seq, cfg), v_seq).sequence
         residual_u = _residual(u_seq, u_prev)
         residual_v = _residual(v_seq, v_prev)
         if residual_u <= gs.conv_tol and residual_v <= gs.conv_tol:
@@ -103,7 +96,7 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
     )
 
 
-def solve_pursuer_game(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
+def solve_pursuer_game(s: GameState, cfg: ScenarioConfig,
                        warm: tuple[ControlSequence, ControlSequence]) -> StepDecision:
     """The pursuer's horizon game, played entirely in nominal-obstacle terms.
 
@@ -111,10 +104,10 @@ def solve_pursuer_game(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
     Q != 0; its internal evader model maximizes terminal distance. Neither
     side of this game may touch the true obstacle.
     """
-    return _gauss_seidel(s, cfg, gs, (Player.PURSUER, Player.EVADER_MODEL), warm)
+    return _gauss_seidel(s, cfg, (Player.PURSUER, Player.EVADER_MODEL), warm)
 
 
-def solve_evader_original(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConfig,
+def solve_evader_original(s: GameState, cfg: ScenarioConfig,
                           warm: tuple[ControlSequence, ControlSequence]) -> StepDecision:
     """The evader's horizon game with its informed view of the obstacle.
 
@@ -122,7 +115,7 @@ def solve_evader_original(s: GameState, cfg: ScenarioConfig, gs: GaussSeidelConf
     evader knows the pursuer's information set) and is risk-neutral, whatever
     Q is; the evader's own best responses avoid the true obstacle.
     """
-    return _gauss_seidel(s, cfg, gs, (Player.PURSUER_MODEL, Player.EVADER), warm)
+    return _gauss_seidel(s, cfg, (Player.PURSUER_MODEL, Player.EVADER), warm)
 
 
 def solve_evader_deceptive(s: GameState, cfg: ScenarioConfig,

@@ -26,18 +26,15 @@ from .game import (
     step_state,
 )
 from .game_solver import (
-    GaussSeidelConfig,
     StepDecision,
     solve_evader_deceptive,
     solve_evader_original,
     solve_pursuer_game,
 )
 from .sensitivity import rcs_sample, risk_of_sequence
-from .trajopt import NoFeasibleSequence, horizon_times, shift_and_hold, track
+from .trajopt import NoFeasibleSequence, Player, horizon_times, shift_and_hold, track
 
 logger = logging.getLogger(__name__)
-
-_DEFAULT_GS = GaussSeidelConfig()
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,16 @@ class SimRecord:
     risk: float | None
     pursuer: StepDecision | None = None
     evader: StepDecision | None = None
-    pursuer_infeasible: bool = False
-    evader_infeasible: bool = False
+
+    @property
+    def pursuer_infeasible(self) -> bool:
+        """The pursuer held its heading: its solve found no feasible plan."""
+        return self.u_head is not None and self.pursuer is None
+
+    @property
+    def evader_infeasible(self) -> bool:
+        """The evader held its heading: its solve found no feasible plan."""
+        return self.v_head is not None and self.evader is None
 
 
 @dataclass(frozen=True)
@@ -98,69 +103,55 @@ class _Pipeline:
 
     Holds the warm start, one sequence per player its solve optimizes, and
     the previously applied heading; sees only the states fed to decide().
-    Subclasses name their player in `role` and implement decide().
+    solve(state, warm) returns a StepDecision or raises NoFeasibleSequence.
     """
 
-    def __init__(self, cfg: ScenarioConfig, speeds: tuple[float, ...]):
+    def __init__(self, cfg: ScenarioConfig, player: Player,
+                 speeds: tuple[float, ...], solve):
         self.cfg = cfg
+        self.player = player
         self.speeds = speeds
+        self.solve = solve
         self.warm: tuple[ControlSequence, ...] | None = None
         self.prev_head: float | None = None
 
-    def _warm(self, state: GameState) -> tuple[ControlSequence, ...]:
+    def decide(self, state: GameState):
+        """(heading, StepDecision or None on a hold, the sequences planned)."""
         if self.warm is None:
             self.warm = tuple(_los_sequence(state, self.cfg.N, speed)
                               for speed in self.speeds)
-        return self.warm
-
-    def _advance(self, head: float, seqs) -> float:
-        self.warm = tuple(shift_and_hold(seq) for seq in seqs)
+        try:
+            dec = self.solve(state, self.warm)
+        except NoFeasibleSequence:
+            logger.warning("%s solve infeasible at t=%.3f; holding heading",
+                           self.player.value, state.t)
+            dec, plan = None, self.warm
+            head = (self.prev_head if self.prev_head is not None
+                    else line_of_sight_heading(state.x_p, state.x_e))
+        else:
+            plan = tuple(seq for seq in (dec.u_seq, dec.v_seq) if seq is not None)
+            head = dec.u_head if self.player.pursues else dec.v_head
+        self.warm = tuple(shift_and_hold(seq) for seq in plan)
         self.prev_head = head
-        return head
-
-    def _hold(self, state: GameState) -> float:
-        logger.warning(
-            "%s solve infeasible at t=%.3f; holding heading", self.role, state.t)
-        head = (self.prev_head if self.prev_head is not None
-                else line_of_sight_heading(state.x_p, state.x_e))
-        return self._advance(head, self.warm)
+        return head, dec, plan
 
 
-class _PursuerPipeline(_Pipeline):
-    """The pursuer's chain; never reads rho_true."""
+def _pipelines(cfg: ScenarioConfig) -> tuple[_Pipeline, _Pipeline]:
+    """The pursuer's and the evader's chains.
 
-    role = "pursuer"
-
-    def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg, (cfg.u_c, cfg.v_c))
-
-    def decide(self, state: GameState):
-        warm = self._warm(state)
-        try:
-            dec = solve_pursuer_game(state, self.cfg, _DEFAULT_GS, warm)
-        except NoFeasibleSequence:
-            return self._hold(state), None, True, warm[0]
-        return self._advance(dec.u_head, (dec.u_seq, dec.v_seq)), dec, False, dec.u_seq
-
-
-class _EvaderPipeline(_Pipeline):
-    role = "evader"
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.deceptive = cfg.evader_mode is EvaderMode.DECEPTIVE
-        super().__init__(cfg, (cfg.v_c,) if self.deceptive else (cfg.u_c, cfg.v_c))
-
-    def decide(self, state: GameState):
-        warm = self._warm(state)
-        try:
-            if self.deceptive:
-                dec = solve_evader_deceptive(state, self.cfg, warm[0])
-            else:
-                dec = solve_evader_original(state, self.cfg, _DEFAULT_GS, warm)
-        except NoFeasibleSequence:
-            return self._hold(state), None, True
-        seqs = (dec.v_seq,) if self.deceptive else (dec.u_seq, dec.v_seq)
-        return self._advance(dec.v_head, seqs), dec, False
+    The solves are looked up by module name per call, so wrappers set on
+    this module's names (a traced run's timers) see every decision.
+    """
+    both = (cfg.u_c, cfg.v_c)
+    pursuer = _Pipeline(cfg, Player.PURSUER, both,
+                        lambda s, warm: solve_pursuer_game(s, cfg, warm))
+    if cfg.evader_mode is EvaderMode.DECEPTIVE:
+        evader = _Pipeline(cfg, Player.DECEPTIVE_EVADER, (cfg.v_c,),
+                           lambda s, warm: solve_evader_deceptive(s, cfg, *warm))
+    else:
+        evader = _Pipeline(cfg, Player.EVADER, both,
+                           lambda s, warm: solve_evader_original(s, cfg, warm))
+    return pursuer, evader
 
 
 def run(cfg: ScenarioConfig) -> SimulationTrace:
@@ -169,8 +160,7 @@ def run(cfg: ScenarioConfig) -> SimulationTrace:
     The pursuer desensitizes exactly when its risk weight is nonzero; the
     evader plays the mode selected in the config.
     """
-    pursuer = _PursuerPipeline(cfg)
-    evader = _EvaderPipeline(cfg)
+    pursuer, evader = _pipelines(cfg)
     state = initial_state(cfg)
     records: list[SimRecord] = []
     while True:
@@ -179,12 +169,11 @@ def run(cfg: ScenarioConfig) -> SimulationTrace:
             records.append(SimRecord(
                 t=state.t, state=state, u_head=None, v_head=None, risk=None))
             return SimulationTrace(records=records, outcome=outcome, cfg=cfg)
-        u_head, p_dec, p_inf, plan = pursuer.decide(state)
-        v_head, e_dec, e_inf = evader.decide(state)
+        u_head, p_dec, p_plan = pursuer.decide(state)
+        v_head, e_dec, _ = evader.decide(state)
         records.append(SimRecord(
             t=state.t, state=state, u_head=u_head, v_head=v_head,
-            risk=plan_risk(cfg, state, plan), pursuer=p_dec, evader=e_dec,
-            pursuer_infeasible=p_inf, evader_infeasible=e_inf))
+            risk=plan_risk(cfg, state, p_plan[0]), pursuer=p_dec, evader=e_dec))
         state = step_state(state, u_head, v_head, cfg)
 
 
@@ -201,5 +190,5 @@ def replay_pursuer_decisions(cfg: ScenarioConfig, states: list[GameState]) -> li
     cfg fields the pursuer must not depend on (rho_true) and compare
     streams bitwise.
     """
-    pipeline = _PursuerPipeline(cfg)
+    pipeline = _pipelines(cfg)[0]
     return [pipeline.decide(s)[0] for s in states]

@@ -4,8 +4,9 @@ One player optimizes its N-step heading sequence against a frozen opponent
 sequence (or a pure-pursuit opponent model in the deception game), subject
 to obstacle clearance at every horizon sample. Solved by an exterior
 quadratic penalty with finite-difference gradient descent, backtracking
-line search, and seeded multi-start; all candidate evaluation is batched
-but reproduces the sequential step_state positions bit for bit.
+line search, and (for the deceptive evader) seeded multi-start; all
+candidate evaluation is batched but reproduces the sequential step_state
+positions bit for bit.
 """
 
 from __future__ import annotations
@@ -322,8 +323,7 @@ def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.nda
     return h
 
 
-def best_response(prob: HorizonProblem, init: ControlSequence, *,
-                  n_starts: int = N_STARTS) -> BestResponse:
+def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     """Feasible local optimizer of the horizon problem from a warm start.
 
     Exterior penalty method: for each start, gradient-descend the
@@ -332,6 +332,13 @@ def best_response(prob: HorizonProblem, init: ControlSequence, *,
     objective then lexicographically smaller heading vector.
     """
     cfg = prob.cfg
+    # Gauss-Seidel best responses run from the warm iterate only, mirroring
+    # warm-started per-block local solves: multi-start winners hopping
+    # between distant local optima on successive iterations turn the
+    # fixed-point iteration into a limit cycle and select equilibria no
+    # warm-started local solver would reach. Only the deceptive evader's
+    # single solve, outside any iteration, takes seeded starts.
+    n_starts = N_STARTS if prob.player is Player.DECEPTIVE_EVADER else 1
     n = cfg.N
     if len(init) != n:
         raise ValidationError(f"init length {len(init)} != N={n}")

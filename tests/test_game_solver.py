@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from asym_pe import game_solver
 from asym_pe.game import (
     ControlSequence,
     ValidationError,
@@ -13,6 +14,7 @@ from asym_pe.game import (
     line_of_sight_heading,
 )
 from asym_pe.game_solver import (
+    GAUSS_SEIDEL,
     GaussSeidelConfig,
     solve_evader_deceptive,
     solve_evader_original,
@@ -39,26 +41,19 @@ def angle_diff(a: float, b: float) -> float:
     return abs(math.remainder(a - b, 2 * math.pi))
 
 
-def test_gauss_seidel_config_validation():
-    with pytest.raises(ValidationError):
-        GaussSeidelConfig(conv_tol=0.0)
-    with pytest.raises(ValidationError):
-        GaussSeidelConfig(max_iters=0)
-
-
 def test_collinear_no_obstacle_converges_immediately():
     # Pursue/flee along the common line is a fixed point: the warm start
     # is already optimal for both, so the loop stops within two sweeps.
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
-    dec = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), los_warm(cfg, s0))
+    dec = solve_pursuer_game(s0, cfg, los_warm(cfg, s0))
     assert dec.converged
     assert dec.iters <= 2
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     assert angle_diff(dec.u_head, los) <= 1e-2
     assert angle_diff(dec.v_head, los) <= 1e-2  # evader flees along the line
-    assert dec.residual_u <= GaussSeidelConfig().conv_tol
-    assert dec.residual_v <= GaussSeidelConfig().conv_tol
+    assert dec.residual_u <= GAUSS_SEIDEL.conv_tol
+    assert dec.residual_v <= GAUSS_SEIDEL.conv_tol
 
 
 def test_fig2_first_heading_near_line_of_sight():
@@ -67,7 +62,7 @@ def test_fig2_first_heading_near_line_of_sight():
     # evader, modulo game curvature.
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
-    dec = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), los_warm(cfg, s0))
+    dec = solve_pursuer_game(s0, cfg, los_warm(cfg, s0))
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     assert angle_diff(dec.u_head, los) <= 0.15
 
@@ -75,7 +70,7 @@ def test_fig2_first_heading_near_line_of_sight():
 def test_evader_original_flees_when_obstacle_far():
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
-    dec = solve_evader_original(s0, cfg, GaussSeidelConfig(), los_warm(cfg, s0))
+    dec = solve_evader_original(s0, cfg, los_warm(cfg, s0))
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     assert angle_diff(dec.v_head, los) <= 1e-2
     assert dec.converged
@@ -87,9 +82,9 @@ def test_pursuer_game_never_reads_true_velocity():
     cfg = preset("fig3_desensitized")
     s0 = initial_state(cfg)
     warm = los_warm(cfg, s0)
-    dec_a = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), warm)
+    dec_a = solve_pursuer_game(s0, cfg, warm)
     cfg_b = replace(cfg, rho_true=(0.2, 0.3))
-    dec_b = solve_pursuer_game(s0, cfg_b, GaussSeidelConfig(), warm)
+    dec_b = solve_pursuer_game(s0, cfg_b, warm)
     np.testing.assert_array_equal(dec_a.u_seq.headings, dec_b.u_seq.headings)
     np.testing.assert_array_equal(dec_a.v_seq.headings, dec_b.v_seq.headings)
     assert dec_a.u_head == dec_b.u_head
@@ -99,23 +94,24 @@ def test_solver_is_deterministic():
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
     warm = los_warm(cfg, s0)
-    dec_a = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), warm)
-    dec_b = solve_pursuer_game(s0, cfg, GaussSeidelConfig(), warm)
+    dec_a = solve_pursuer_game(s0, cfg, warm)
+    dec_b = solve_pursuer_game(s0, cfg, warm)
     np.testing.assert_array_equal(dec_a.u_seq.headings, dec_b.u_seq.headings)
     np.testing.assert_array_equal(dec_a.v_seq.headings, dec_b.v_seq.headings)
     assert dec_a.iters == dec_b.iters
 
 
-def test_iteration_cap_respected():
+def test_iteration_cap_respected(monkeypatch):
     # With an impossibly tight tolerance the loop must stop at max_iters
     # and report non-convergence honestly. Line-of-sight warm starts are an
     # exact fixed point on fig2, so constant off-line headings are used.
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
     gs = GaussSeidelConfig(conv_tol=1e-15, max_iters=2)
+    monkeypatch.setattr(game_solver, "GAUSS_SEIDEL", gs)
     warm = (ControlSequence(headings=np.full(cfg.N, 0.3), speed=cfg.u_c),
             ControlSequence(headings=np.full(cfg.N, -0.4), speed=cfg.v_c))
-    dec = solve_pursuer_game(s0, cfg, gs, warm)
+    dec = solve_pursuer_game(s0, cfg, warm)
     assert dec.iters == gs.max_iters
     assert not dec.converged
     assert np.isfinite(dec.residual_u) and np.isfinite(dec.residual_v)
@@ -129,15 +125,14 @@ def test_evaders_pursuer_model_is_risk_neutral():
     cfg3 = replace(cfg1, Q=3.0)
     s0 = initial_state(cfg1)
     warm = los_warm(cfg1, s0)
-    gs = GaussSeidelConfig()
-    evader1 = solve_evader_original(s0, cfg1, gs, warm)
-    evader3 = solve_evader_original(s0, cfg3, gs, warm)
+    evader1 = solve_evader_original(s0, cfg1, warm)
+    evader3 = solve_evader_original(s0, cfg3, warm)
     np.testing.assert_array_equal(evader1.u_seq.headings, evader3.u_seq.headings)
     np.testing.assert_array_equal(evader1.v_seq.headings, evader3.v_seq.headings)
     assert (evader1.iters, evader1.residual_u, evader1.residual_v) == (
         evader3.iters, evader3.residual_u, evader3.residual_v)
-    pursuer1 = solve_pursuer_game(s0, cfg1, gs, warm)
-    pursuer3 = solve_pursuer_game(s0, cfg3, gs, warm)
+    pursuer1 = solve_pursuer_game(s0, cfg1, warm)
+    pursuer3 = solve_pursuer_game(s0, cfg3, warm)
     assert not np.array_equal(pursuer1.u_seq.headings, pursuer3.u_seq.headings)
 
 

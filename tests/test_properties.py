@@ -1,4 +1,4 @@
-"""Properties of scenario configs over generated inputs, not only presets."""
+"""Properties of scenario configs and whole games over generated inputs, not only presets."""
 
 import math
 from dataclasses import replace
@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 from asym_pe.game import EvaderMode, ScenarioConfig, UncertaintySpec, ValidationError
 from asym_pe.scenarios import parse_scenario, serialize_scenario
+from asym_pe.sim import replay_pursuer_decisions, run
+from asym_pe.trace_io import write_trace_csv
 
 # Derandomized: the same examples on every run, so a failure reproduces.
 FAST = settings(max_examples=60, derandomize=True, deadline=None)
+# Each example plays two short games and a replay; 10 take about 4 s.
+GAMES = settings(max_examples=10, derandomize=True, deadline=None)
 
 SCALAR_FIELDS = ("u_c", "v_c", "epsilon", "r_o", "dt", "t_max", "alpha_o",
                  "alpha_d", "relevance_scale", "Q", "N", "seed")
@@ -95,3 +99,31 @@ def test_every_numeric_field_refuses_non_finite(cfg):
             for index in (0, 1):
                 with pytest.raises(ValidationError):
                     replace(cfg, **{name: _with_entry(getattr(cfg, name), index, bad)})
+
+
+@st.composite
+def short_games(draw) -> ScenarioConfig:
+    """scenario_configs() cut to horizons of 1-3 steps and 1-3 decisions."""
+    cfg = draw(scenario_configs())
+    return replace(cfg, N=draw(st.integers(1, 3)),
+                   t_max=draw(st.integers(1, 3)) * cfg.dt)
+
+
+@GAMES
+@given(short_games(), _pair(-1.0, 1.0))
+def test_short_games_replay_exactly_stay_finite_and_hide_rho_true(cfg, moved_rho):
+    assume(moved_rho != cfg.rho_true)
+    trace = run(cfg)
+    text = write_trace_csv(trace)
+    assert write_trace_csv(run(cfg)) == text
+    decisions = trace.decision_records
+    assert len(decisions) <= math.ceil(cfg.t_max / cfg.dt)
+    for rec in trace.records:
+        s = rec.state
+        assert np.isfinite([s.t, *s.x_p, *s.x_e, *s.x_w_true, *s.x_w_nominal]).all()
+    for rec in decisions:
+        assert np.isfinite([rec.u_head, rec.v_head, rec.risk]).all()
+    # Information hygiene: the pursuer's stream cannot see the true velocity.
+    moved = replace(cfg, rho_true=moved_rho)
+    assert (replay_pursuer_decisions(moved, [r.state for r in decisions])
+            == [r.u_head for r in decisions])

@@ -213,6 +213,35 @@ def test_q_zero_collapses_to_plain_objective():
     assert resp0.objective_value == resp1.objective_value
 
 
+def test_only_the_deceptive_evader_reads_the_seed():
+    # Gauss-Seidel players are single-start: the seed feeds only the
+    # perturbed extra starts, so their responses are bitwise seed-free.
+    # The deceptive evader's eight seeded starts do reach its response.
+    def responses(cfg, player, opponent_seq, init):
+        s0 = initial_state(cfg)
+        return [best_response(HorizonProblem(player, s0, opponent_seq,
+                                             replace(cfg, seed=seed)), init)
+                for seed in (0, 7)]
+
+    cfg = preset("fig3_desensitized")
+    s0 = initial_state(cfg)
+    los = line_of_sight_heading(s0.x_p, s0.x_e)
+    u, v = constant_seq(los, cfg.N, cfg.u_c), constant_seq(los, cfg.N, cfg.v_c)
+    for player in (Player.PURSUER, Player.EVADER_MODEL, Player.PURSUER_MODEL,
+                   Player.EVADER):
+        mine, theirs = (u, v) if player.pursues else (v, u)
+        a, b = responses(cfg, player, theirs, mine)
+        np.testing.assert_array_equal(a.sequence.headings, b.sequence.headings,
+                                      err_msg=player.value)
+        assert (a.objective_value, a.solver_iters) == (b.objective_value, b.solver_iters)
+
+    cfg = preset("fig7_deception_collision")
+    s0 = initial_state(cfg)
+    flee = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
+    a, b = responses(cfg, Player.DECEPTIVE_EVADER, None, flee)
+    assert not np.array_equal(a.sequence.headings, b.sequence.headings)
+
+
 def test_pursuer_best_response_matches_grid_oracle():
     # No obstacle nearby, evader frozen on a straight course: the optimum
     # over all sequences is a constant heading, so the 0.5-degree grid is
