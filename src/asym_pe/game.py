@@ -176,6 +176,8 @@ class ScenarioConfig:
             raise ValidationError("t_max must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
+        if self.relevance_scale <= 0:
+            raise ValidationError("relevance_scale must be positive")
         p = np.asarray(self.pursuer_start)
         e = np.asarray(self.evader_start)
         w = np.asarray(self.obstacle_start)
@@ -206,13 +208,25 @@ class ScenarioConfig:
     def nominal_speed(self) -> float:
         return math.hypot(self.rho_nominal[0], self.rho_nominal[1])
 
+    def nominal_obstacle(self, t) -> np.ndarray:
+        """Obstacle centre the pursuer plans against at scalar or (n,) times t."""
+        return self._obstacle(self.rho_nominal, t)
+
+    def true_obstacle(self, t) -> np.ndarray:
+        """The real obstacle centre at scalar or (n,) times t."""
+        return self._obstacle(self.rho_true, t)
+
+    def _obstacle(self, rho, t) -> np.ndarray:
+        return (np.asarray(self.obstacle_start)
+                + np.asarray(rho) * np.asarray(t)[..., None])
+
 
 @dataclass(frozen=True)
 class GameState:
     """Positions of all agents at one time instant.
 
-    Both obstacle copies follow their velocity exactly, so they are always
-    recomputable as obstacle_start + rho * t.
+    Both obstacle copies follow their velocity exactly: x_w_true is
+    cfg.true_obstacle(t) and x_w_nominal is cfg.nominal_obstacle(t).
     """
 
     t: float
@@ -283,23 +297,25 @@ def step_state(s: GameState, u_head: float, v_head: float,
     trajectories stay exactly linear regardless of step count.
     """
     t_next = s.t + cfg.dt
-    w0 = np.asarray(cfg.obstacle_start)
     return GameState(
         t=t_next,
         x_p=heading_step(s.x_p, cfg.u_c, u_head, cfg.dt),
         x_e=heading_step(s.x_e, cfg.v_c, v_head, cfg.dt),
-        x_w_true=w0 + np.asarray(cfg.rho_true) * t_next,
-        x_w_nominal=w0 + np.asarray(cfg.rho_nominal) * t_next,
+        x_w_true=cfg.true_obstacle(t_next),
+        x_w_nominal=cfg.nominal_obstacle(t_next),
     )
 
 
-def constraint_g(x_p: np.ndarray, x_w: np.ndarray, r_o: float) -> float:
+def constraint_g(x: np.ndarray, x_w: np.ndarray, r_o: float) -> np.ndarray:
     """Obstacle clearance constraint: nonpositive iff the agent is safe.
 
-    The same form serves the evader's constraint with its own position.
+    x (either player) and the obstacle centre x_w are (..., 2) positions;
+    the result has their broadcast leading shape.
     """
-    d = np.asarray(x_p, dtype=float) - np.asarray(x_w, dtype=float)
-    return r_o * r_o - float(d @ d)
+    d = np.asarray(x, dtype=float) - np.asarray(x_w, dtype=float)
+    # The length-2 sum written out: the same single rounding as np.sum over
+    # the last axis, without a reduction's per-call overhead.
+    return r_o * r_o - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
 
 def check_termination(s: GameState, cfg: ScenarioConfig) -> Outcome | None:

@@ -5,10 +5,12 @@ plans whose obstacle clearance is sensitive to that velocity. For linear
 obstacle motion that sensitivity has a closed form, evaluated at the
 nominal obstacle trajectory.
 
-Sensitivity time restarts at zero at each planning instant: every risk
-path (the optimizer's batch evaluator, evaluate_objective and sim's plan
-risk) passes times measured from the start of the horizon, while the
-nominal obstacle position keeps game time.
+Every risk number comes from one vectorized formula: weighted_terms, the
+optimizer's batch risk term, and rcs_sample, which also returns the rows
+it is made of and scores the logged plan risk and evaluate_objective.
+Sensitivity time restarts at zero at each planning instant: callers pass
+times measured from the start of the horizon, while the nominal obstacle
+position keeps game time.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ from .game import UncertaintySpec as US
 
 @dataclass(frozen=True)
 class RcsSample:
-    """Relevance-weighted constraint sensitivity at one horizon sample."""
+    """Relevance-weighted constraint sensitivity at horizon samples.
+
+    s_g and s_gamma are (..., k); relevance and weighted_norm_sq are (...).
+    """
 
     s_g: np.ndarray
-    relevance: float
+    relevance: np.ndarray
     s_gamma: np.ndarray
-    weighted_norm_sq: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_g", np.asarray(self.s_g, dtype=float))
-        object.__setattr__(self, "s_gamma", np.asarray(self.s_gamma, dtype=float))
+    weighted_norm_sq: np.ndarray
 
 
 def relevance(z):
@@ -74,40 +75,28 @@ def _s_g_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
             * (d[..., 1] * np.cos(psi) - d[..., 0] * np.sin(psi)))[..., None]
 
 
-def _s_gamma_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
-    """Relevance-weighted rows gamma(g) * s_g; shapes as in _s_g_rows."""
-    g = cfg.r_o ** 2 - np.sum(d ** 2, axis=-1)
-    gam = relevance(cfg.relevance_scale * g)
-    return np.asarray(gam)[..., None] * _s_g_rows(d, t, cfg)
+def _rcs(x_p, x_w, t, cfg: ScenarioConfig):
+    """(s_g, gamma(g), s_gamma = gamma(g) s_g, ||s_gamma||^2_Q) at positions x_p.
 
-
-def weighted_terms(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
-    """Vectorized ||vec(S_gamma)||^2_Q for displacements d = x_p - x_w_nominal.
-
-    Shapes broadcast as in _s_g_rows; returns shape d.shape[:-1]. This is
-    the batch workhorse behind the optimizer's risk term.
+    x_p and x_w are (..., 2) arrays of pursuer and nominal obstacle
+    positions; t broadcasts against their leading shape, as in _s_g_rows.
     """
-    rows = _s_gamma_rows(np.asarray(d, dtype=float), t, cfg)
-    q = cfg.q_matrix()
-    return np.einsum("...i,ij,...j->...", rows, q, rows)
+    gam = relevance(cfg.relevance_scale * constraint_g(x_p, x_w, cfg.r_o))
+    s_g = _s_g_rows(x_p - x_w, t, cfg)
+    s_gamma = np.asarray(gam)[..., None] * s_g
+    return s_g, gam, s_gamma, np.einsum(
+        "...i,ij,...j->...", s_gamma, cfg.q_matrix(), s_gamma)
 
 
-def rcs_sample(x_p, x_w_nominal, t: float, cfg: ScenarioConfig) -> RcsSample:
-    """Relevant constraint sensitivity of a pursuer position at time t."""
-    x_p = np.asarray(x_p, dtype=float)
-    x_w = np.asarray(x_w_nominal, dtype=float)
-    g = constraint_g(x_p, x_w, cfg.r_o)
-    gam = relevance(cfg.relevance_scale * g)
-    s_g = _s_g_rows(x_p - x_w, float(t), cfg)
-    s_gamma = gam * s_g
-    q = cfg.q_matrix()
-    wns = float(s_gamma @ q @ s_gamma)
-    return RcsSample(s_g=s_g, relevance=gam, s_gamma=s_gamma, weighted_norm_sq=wns)
+def weighted_terms(x_p: np.ndarray, x_w: np.ndarray, t,
+                   cfg: ScenarioConfig) -> np.ndarray:
+    """||vec(S_gamma)||^2_Q alone, shaped as in _rcs: the optimizer's risk term."""
+    return _rcs(x_p, x_w, t, cfg)[3]
 
 
-def risk_of_sequence(samples: list[RcsSample]) -> float:
-    """Horizon risk: sum of weighted RCS norms (dt absorbed into Q)."""
-    return float(sum(s.weighted_norm_sq for s in samples))
+def rcs_sample(x_p, x_w_nominal, t, cfg: ScenarioConfig) -> RcsSample:
+    """Relevant constraint sensitivity of one or a batch of samples, as in _rcs."""
+    return RcsSample(*_rcs(x_p, x_w_nominal, t, cfg))
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ def rcs_field_grid(cfg: ScenarioConfig, t: float, grid: GridSpec) -> np.ndarray:
     Entry [i, j] is the field at (x1_i, x2_j) against the nominal obstacle
     position at t. Used for contour output.
     """
-    x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * float(t)
     a1, a2 = grid.axes()
     p = np.stack(np.meshgrid(a1, a2, indexing="ij"), axis=-1)
-    return np.linalg.norm(_s_gamma_rows(p - x_w, float(t), cfg), axis=-1)
+    return np.linalg.norm(
+        rcs_sample(p, cfg.nominal_obstacle(t), float(t), cfg).s_gamma, axis=-1)

@@ -31,7 +31,7 @@ from .game_solver import (
     solve_evader_original,
     solve_pursuer_game,
 )
-from .sensitivity import rcs_sample, risk_of_sequence
+from .sensitivity import rcs_sample
 from .trajopt import NoFeasibleSequence, Player, horizon_times, shift_and_hold, track
 
 logger = logging.getLogger(__name__)
@@ -85,12 +85,10 @@ def plan_risk(cfg: ScenarioConfig, state: GameState, u_seq: ControlSequence) -> 
     nominal obstacle keeps game time.
     """
     n = len(u_seq)
-    ts = horizon_times(state.t, n, cfg.dt)
-    rel_ts = horizon_times(0.0, n, cfg.dt)
-    pos = track(state.x_p, u_seq.velocities(), cfg.dt)
-    w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * ts[:, None]
-    samples = [rcs_sample(pos[i], w[i], rel_ts[i], cfg) for i in range(n)]
-    return risk_of_sequence(samples)
+    return float(np.sum(rcs_sample(
+        track(state.x_p, u_seq.velocities(), cfg.dt),
+        cfg.nominal_obstacle(horizon_times(state.t, n, cfg.dt)),
+        horizon_times(0.0, n, cfg.dt), cfg).weighted_norm_sq))
 
 
 def _los_sequence(state: GameState, n: int, speed: float) -> ControlSequence:

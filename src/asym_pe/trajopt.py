@@ -23,9 +23,10 @@ from .game import (
     GameState,
     ScenarioConfig,
     ValidationError,
+    constraint_g,
     step_state,
 )
-from .sensitivity import rcs_sample, risk_of_sequence, weighted_terms
+from .sensitivity import rcs_sample, weighted_terms
 
 
 class Player(Enum):
@@ -183,9 +184,8 @@ def _deception_terminals(start: GameState, v_seq: ControlSequence,
         vel = pure_pursuit_model(xp, e_prev, cfg.u_c)
         xp = xp + vel * cfg.dt
         e_prev = e_pos[i]
-    ts = horizon_times(start.t, len(v_seq), cfg.dt)
-    w_true = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_true) * ts[-1]
-    return xp, e_pos[-1], w_true
+    t_end = horizon_times(start.t, len(v_seq), cfg.dt)[-1]
+    return xp, e_pos[-1], cfg.true_obstacle(t_end)
 
 
 def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
@@ -200,10 +200,10 @@ def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
     if prob.risk:
         # Sensitivity time restarts at zero at each planning step, so
         # uncertainty acts over the lookahead, not over elapsed game time.
+        x_p = np.array([s.x_p for s in states[1:]])
+        x_w = np.array([s.x_w_nominal for s in states[1:]])
         rel_ts = horizon_times(0.0, len(seq), cfg.dt)
-        samples = [rcs_sample(s.x_p, s.x_w_nominal, tau, cfg)
-                   for s, tau in zip(states[1:], rel_ts)]
-        value += risk_of_sequence(samples)
+        value += float(np.sum(rcs_sample(x_p, x_w, rel_ts, cfg).weighted_norm_sq))
     return value
 
 
@@ -229,12 +229,10 @@ class _BatchEval:
         self.my_start = prob.my_start
         self.ts = horizon_times(s0.t, self.n, cfg.dt)
         self.rel_ts = horizon_times(0.0, self.n, cfg.dt)
-        w0 = np.asarray(cfg.obstacle_start)
-        self.w_nominal = w0 + np.asarray(cfg.rho_nominal) * self.ts[:, None]
+        self.w_nominal = cfg.nominal_obstacle(self.ts)
         # The true obstacle stream is materialized only where the problem
         # is allowed to know it; no model of the other side touches rho_true.
-        self.w_true = (w0 + np.asarray(cfg.rho_true) * self.ts[:, None]
-                       if prob.player.knows_true_disk else None)
+        self.w_true = cfg.true_obstacle(self.ts) if prob.player.knows_true_disk else None
         self.w_model = self.w_nominal if self.w_true is None else self.w_true
         if prob.opponent_seq is not None:
             opp_start = s0.x_e if prob.player.pursues else s0.x_p
@@ -260,9 +258,7 @@ class _BatchEval:
         return rows.reshape(-1, self.n)
 
     def violations(self, pos: np.ndarray) -> np.ndarray:
-        d = pos - self.w_model
-        g = self.cfg.r_o * self.cfg.r_o - np.sum(d * d, axis=-1)
-        return np.maximum(g, 0.0)
+        return np.maximum(constraint_g(pos, self.w_model, self.cfg.r_o), 0.0)
 
     def __call__(self, headings: np.ndarray):
         """Returns (raw payoff, penalty sum, max violation), each (B,)."""
@@ -287,8 +283,7 @@ class _BatchEval:
             raw = np.linalg.norm(pos[:, -1] - self.opp_pos[-1], axis=-1)
             if self.risk:
                 raw = raw + np.sum(
-                    weighted_terms(pos - self.w_nominal, self.rel_ts, cfg),
-                    axis=-1)
+                    weighted_terms(pos, self.w_nominal, self.rel_ts, cfg), axis=-1)
         return raw, pen, viol_max
 
 

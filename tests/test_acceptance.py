@@ -20,18 +20,15 @@ from asym_pe.game import (
     ControlSequence,
     GameState,
     OutcomeKind,
-    UncertaintySpec,
     constraint_g,
-    initial_state,
     line_of_sight_heading,
 )
 from asym_pe.game import COLLISION_TOL
 from asym_pe.scenarios import PRESET_EXPECTATIONS, preset, time_band
-from asym_pe.sensitivity import _s_g_rows, rcs_sample, weighted_terms
+from asym_pe.sensitivity import weighted_terms
 from asym_pe.sim import replay_pursuer_decisions, run
 from asym_pe.trace_io import parse_trace_csv, write_trace_csv
 from asym_pe.trajopt import HorizonProblem, Player, _BatchEval, best_response
-from oracles import chain_constraint_row, propagate_sensitivity_ode
 
 MAX_WALL_SECONDS = 60.0
 
@@ -146,154 +143,6 @@ def test_event_time_band(name):
     assert ok, line
 
 
-def cartesian(cfg):
-    return replace(cfg, uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN)
-
-
-def test_sensitivity_closed_form_vs_finite_differences():
-    cfg = cartesian(preset("fig2_collision"))
-    rng = np.random.default_rng(42)
-    delta = 1e-5
-    worst = 0.0
-    for _ in range(100):
-        x_p = rng.uniform(-5, 5, 2)
-        w0 = rng.uniform(-5, 5, 2)
-        rho = rng.uniform(-1, 1, 2)
-        t = rng.uniform(0.05, 10.0)
-
-        def g(r):
-            d = x_p - (w0 + r * t)
-            return 0.75 ** 2 - float(d @ d)
-
-        x_w = w0 + rho * t
-        row = _s_g_rows(x_p - x_w, t, cfg)
-        fd = np.array([(g(rho + delta * e) - g(rho - delta * e)) / (2 * delta)
-                       for e in np.eye(2)])
-        rel = np.linalg.norm(row - fd) / max(1.0, float(np.linalg.norm(fd)))
-        worst = max(worst, rel)
-    ok = worst < 1e-6
-    line = report("sensitivity finite-difference", ok,
-                  f"worst relative error {worst:.2e} over 100 draws (< 1e-6)")
-    assert ok, line
-
-
-def test_sensitivity_ode_path_vs_closed_form():
-    cfg = cartesian(preset("fig3_desensitized"))
-    u = ControlSequence(headings=np.linspace(-0.4, 0.8, cfg.N), speed=cfg.u_c)
-    v = ControlSequence(headings=np.zeros(cfg.N), speed=cfg.v_c)
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for sm in propagate_sensitivity_ode(cfg, u, v):
-        x_p = rng.uniform(-4, 4, 2)
-        x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * sm.t
-        err = np.linalg.norm(
-            chain_constraint_row(x_p, x_w, sm) - _s_g_rows(x_p - x_w, sm.t, cfg))
-        worst = max(worst, float(err))
-    ok = worst <= 1e-9
-    line = report("sensitivity ode-chain", ok,
-                  f"worst deviation {worst:.2e} (<= 1e-9)")
-    assert ok, line
-
-
-def test_sensitivity_polar_vs_chain_rule():
-    base = preset("fig2_collision")
-    cart_cfg = cartesian(base)
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(100):
-        x_p = rng.uniform(-5, 5, 2)
-        x_w = rng.uniform(-5, 5, 2)
-        speed = rng.uniform(0.1, 2.0)
-        psi = rng.uniform(-math.pi, math.pi)
-        t = rng.uniform(0.0, 8.0)
-        rho = (speed * math.cos(psi), speed * math.sin(psi))
-        cart = _s_g_rows(x_p - x_w, t, cart_cfg)
-        for which in (UncertaintySpec.SPEED_ONLY, UncertaintySpec.HEADING_ONLY):
-            cfg = replace(base, uncertainty_spec=which, rho_nominal=rho)
-            # The polar rows read speed and heading back from rho_nominal.
-            sp, ps = cfg.nominal_speed(), cfg.nominal_heading()
-            column = (np.array([math.cos(ps), math.sin(ps)])
-                      if which is UncertaintySpec.SPEED_ONLY
-                      else sp * np.array([-math.sin(ps), math.cos(ps)]))
-            direct = _s_g_rows(x_p - x_w, t, cfg)
-            err = abs(direct[0] - float(cart @ column))
-            worst = max(worst, err / max(1.0, abs(direct[0])))
-    ok = worst <= 1e-12
-    line = report("sensitivity polar-chain", ok,
-                  f"worst relative deviation {worst:.2e} (<= 1e-12)")
-    assert ok, line
-
-
-def test_first_order_prediction_exact():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(50):
-        w0 = rng.uniform(-3, 3, 2)
-        rho = rng.uniform(-1, 1, 2)
-        delta = rng.uniform(-0.5, 0.5, 2)
-        t = rng.uniform(0.1, 10.0)
-        err = np.linalg.norm(
-            (w0 + (rho + delta) * t) - (w0 + rho * t) - t * delta)
-        worst = max(worst, float(err))
-    ok = worst <= 1e-13
-    line = report("first-order prediction", ok,
-                  f"worst deviation {worst:.2e} (machine precision)")
-    assert ok, line
-
-
-def field_norm(cfg, p, x_w, t):
-    return float(np.linalg.norm(rcs_sample(p, x_w, t, cfg).s_gamma))
-
-
-def test_field_isotropy_both_cartesian():
-    cfg = replace(preset("fig2_collision"),
-                  uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN, Q=1.0)
-    t = 2.0
-    x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * t
-    vals = [
-        field_norm(cfg, x_w + 1.2 * np.array([math.cos(a), math.sin(a)]), x_w, t)
-        for a in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    ]
-    spread = max(vals) - min(vals)
-    ok = spread < 1e-12
-    line = report("field isotropy", ok,
-                  f"spread {spread:.2e} over 64 circle points (< 1e-12)")
-    assert ok, line
-
-
-def test_field_axis_structure_single_component():
-    cfg = replace(preset("fig2_collision"),
-                  uncertainty_spec=UncertaintySpec.RHO1_ONLY, Q=1.0)
-    t = 1.5
-    x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * t
-    axis_max = max(
-        field_norm(cfg, x_w + np.array([0.0, dy]), x_w, t)
-        for dy in np.linspace(-2, 2, 21))
-    mirror_max = max(
-        abs(field_norm(cfg, x_w + np.array([dx, dy]), x_w, t)
-            - field_norm(cfg, x_w + np.array([-dx, dy]), x_w, t))
-        for dx, dy in [(0.5, 0.2), (1.0, -0.8), (1.6, 1.1)])
-    ok = axis_max < 1e-12 and mirror_max < 1e-12
-    line = report("field axis structure", ok,
-                  f"on-axis max {axis_max:.2e}, mirror asymmetry "
-                  f"{mirror_max:.2e} (< 1e-12)")
-    assert ok, line
-
-
-def test_field_zero_along_nominal_direction():
-    cfg = preset("fig6_heading")
-    t = 2.5
-    x_w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * t
-    direction = np.asarray(cfg.rho_nominal) / cfg.nominal_speed()
-    worst = max(
-        field_norm(cfg, x_w + r * direction, x_w, t)
-        for r in np.linspace(-2, 2, 21))
-    ok = worst < 1e-12
-    line = report("field along-velocity zero", ok,
-                  f"max field on the flight line {worst:.2e} (< 1e-12)")
-    assert ok, line
-
-
 def test_zero_weight_risk_path_is_identical():
     # With zero risk weight the pursuer skips its risk term. That must drop
     # exact zeros: at every decision state of a whole run, a random batch
@@ -310,7 +159,7 @@ def test_zero_weight_risk_path_is_identical():
         pos = ev.positions(headings)
         raw = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
         risk_path = raw + np.sum(
-            weighted_terms(pos - ev.w_nominal, ev.rel_ts, cfg), axis=-1)
+            weighted_terms(pos, ev.w_nominal, ev.rel_ts, cfg), axis=-1)
         mismatches += int(np.sum(ev(headings)[0] != risk_path))
         rows += len(headings)
     ok = mismatches == 0

@@ -87,7 +87,7 @@ def test_config_capturability():
 
 @pytest.mark.parametrize("field,value", [
     ("epsilon", 0.0), ("r_o", -1.0), ("dt", 0.0), ("N", 0), ("t_max", 0.0),
-    ("u_c", -1.0), ("seed", -1),
+    ("u_c", -1.0), ("seed", -1), ("relevance_scale", 0.0), ("relevance_scale", -1.0),
 ])
 def test_config_positive_fields(field, value):
     with pytest.raises(ValidationError):
@@ -198,6 +198,14 @@ def test_constraint_g_sign_convention():
     assert constraint_g(np.array([2.0, 0.0]), w, 1.0) < 0.0  # outside: safe
     assert constraint_g(np.array([0.5, 0.0]), w, 1.0) > 0.0  # inside: violated
     assert constraint_g(np.array([1.0, 0.0]), w, 1.0) == pytest.approx(0.0)
+    # (..., 2) positions against a per-sample obstacle track, broadcast.
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-2.0, 2.0, (4, 3, 2))
+    track = rng.uniform(-1.0, 1.0, (3, 2))
+    batch = constraint_g(x, track, 0.9)
+    assert batch.shape == (4, 3)
+    singles = [[constraint_g(x[i, j], track[j], 0.9) for j in range(3)] for i in range(4)]
+    np.testing.assert_array_equal(batch, singles)
 
 
 def test_termination_none_while_play_continues():

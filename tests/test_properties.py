@@ -123,7 +123,10 @@ def test_short_games_replay_exactly_stay_finite_and_hide_rho_true(cfg, moved_rho
         assert np.isfinite([s.t, *s.x_p, *s.x_e, *s.x_w_true, *s.x_w_nominal]).all()
     for rec in decisions:
         assert np.isfinite([rec.u_head, rec.v_head, rec.risk]).all()
-    # Information hygiene: the pursuer's stream cannot see the true velocity.
-    moved = replace(cfg, rho_true=moved_rho)
-    assert (replay_pursuer_decisions(moved, [r.state for r in decisions])
-            == [r.u_head for r in decisions])
+    # Information hygiene: the pursuer's stream cannot see the true velocity,
+    # whether it is moved or NaN (a NaN that validation would refuse).
+    states, heads = [r.state for r in decisions], [r.u_head for r in decisions]
+    blind = replace(cfg)
+    object.__setattr__(blind, "rho_true", (math.nan, math.nan))
+    for hidden in (replace(cfg, rho_true=moved_rho), blind):
+        assert replay_pursuer_decisions(hidden, states) == heads

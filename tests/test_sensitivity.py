@@ -3,8 +3,9 @@
 The sensitivity rows every risk path uses (_s_g_rows) are checked against
 central finite differences (exact for a quadratic up to rounding), the
 generic ODE path in tests/oracles.py, and chain-rule recombinations of the
-polar forms; the relevance weighting and field grids are checked against
-their declared shape properties.
+polar forms; the relevance weighting, batched samples and field grids are
+checked against their declared shape properties. Each check runs over two
+sets of draws or configs.
 """
 
 import math
@@ -21,7 +22,6 @@ from asym_pe.sensitivity import (
     rcs_field_grid,
     rcs_sample,
     relevance,
-    risk_of_sequence,
     weighted_terms,
 )
 from oracles import chain_constraint_row, integrate_sensitivity, propagate_sensitivity_ode
@@ -59,9 +59,10 @@ def test_relevance_shape():
     assert isinstance(relevance(-1.0), float)
 
 
-def test_cartesian_sensitivity_vs_central_differences():
+@pytest.mark.parametrize("seed", [7, 42], ids=["seed7", "seed42"])
+def test_cartesian_sensitivity_vs_central_differences(seed):
     # g is quadratic in rho, so central differences are exact to rounding.
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     delta = 1e-5
     for _ in range(100):
         x_p = rng.uniform(-5, 5, 2)
@@ -79,19 +80,22 @@ def test_cartesian_sensitivity_vs_central_differences():
         assert np.linalg.norm(row - fd) / scale < 1e-6
 
 
-def test_ode_path_matches_closed_form():
-    cfg = make_cfg()
-    n = 12
-    u = ControlSequence(headings=np.linspace(0.0, 1.0, n), speed=cfg.u_c)
+@pytest.mark.parametrize("name,n,first,last", [
+    ("fig2_collision", 12, 0.0, 1.0),
+    ("fig3_desensitized", 10, -0.4, 0.8),
+], ids=["fig2_collision", "fig3_desensitized"])
+def test_ode_path_matches_closed_form(name, n, first, last):
+    cfg = replace(preset(name), uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN)
+    u = ControlSequence(headings=np.linspace(first, last, n), speed=cfg.u_c)
     v = ControlSequence(headings=np.zeros(n), speed=cfg.v_c)
     mats = propagate_sensitivity_ode(cfg, u, v)
     assert len(mats) == n + 1
     rng = np.random.default_rng(3)
     for sm in mats:
         x_p = rng.uniform(-4, 4, 2)
-        x_w = nominal_obstacle(cfg.obstacle_start, cfg.rho_nominal, sm.t)
+        x_w = cfg.nominal_obstacle(sm.t)
         chained = chain_constraint_row(x_p, x_w, sm)
-        closed = _s_g_rows(x_p - x_w, sm.t, CARTESIAN)
+        closed = _s_g_rows(x_p - x_w, sm.t, cfg)
         assert np.linalg.norm(chained - closed) <= 1e-9
 
 
@@ -127,19 +131,19 @@ def test_ode_rejects_mismatched_sequences():
         propagate_sensitivity_ode(cfg, u, v)
 
 
-def test_polar_sensitivities_vs_chain_rule():
+@pytest.mark.parametrize("seed,draws", [(11, 50), (17, 100)], ids=["seed11", "seed17"])
+def test_polar_sensitivities_vs_chain_rule(seed, draws):
     # d rho / d speed = (cos psi, sin psi); d rho / d heading =
     # (-speed sin psi, speed cos psi). Chaining either column through the
     # Cartesian row must reproduce the direct polar forms.
-    rng = np.random.default_rng(11)
-    for _ in range(50):
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
         x_p = rng.uniform(-5, 5, 2)
-        w0 = rng.uniform(-5, 5, 2)
+        x_w = rng.uniform(-5, 5, 2)
         speed = rng.uniform(0.1, 2.0)
         psi = rng.uniform(-math.pi, math.pi)
         t = rng.uniform(0.0, 8.0)
         rho = (speed * math.cos(psi), speed * math.sin(psi))
-        x_w = nominal_obstacle(w0, rho, t)
         polar = {which: make_cfg(uncertainty_spec=which, rho_nominal=rho)
                  for which in (UncertaintySpec.SPEED_ONLY,
                                UncertaintySpec.HEADING_ONLY)}
@@ -155,15 +159,17 @@ def test_polar_sensitivities_vs_chain_rule():
         assert abs(s_head[0] - cart @ d_head) <= 1e-12 * max(1.0, abs(s_head[0]))
 
 
-def test_first_order_prediction_exact():
+@pytest.mark.parametrize("draws,exact_t", [(20, True), (50, False)],
+                         ids=["representable_t", "uniform_t"])
+def test_first_order_prediction_exact(draws, exact_t):
     # Linear obstacle motion: perturbing rho shifts the position by exactly
-    # t * delta, to machine precision.
+    # t * delta, to machine precision, whether or not t is a binary fraction.
     rng = np.random.default_rng(5)
-    for _ in range(20):
+    for _ in range(draws):
         w0 = rng.uniform(-3, 3, 2)
         rho = rng.uniform(-1, 1, 2)
         delta = rng.uniform(-0.5, 0.5, 2)
-        t = float(rng.integers(1, 50)) * 0.125  # exactly representable
+        t = float(rng.integers(1, 50)) * 0.125 if exact_t else rng.uniform(0.1, 10.0)
         base = nominal_obstacle(w0, rho, t)
         shifted = nominal_obstacle(w0, rho + delta, t)
         np.testing.assert_allclose(shifted - base, t * delta,
@@ -181,29 +187,38 @@ def test_rcs_sample_consistency():
     np.testing.assert_allclose(samp.s_gamma, samp.relevance * samp.s_g)
     assert samp.weighted_norm_sq == pytest.approx(
         1.5 * float(samp.s_gamma @ samp.s_gamma))
-    # The batched path agrees with the sample path.
-    batched = weighted_terms(x_p - x_w, np.asarray(t), cfg)
+    # The optimizer's batch term is the sample's weighted norm.
+    batched = weighted_terms(x_p, x_w, t, cfg)
     assert float(batched) == pytest.approx(samp.weighted_norm_sq, rel=1e-12)
 
 
 def test_weighted_terms_broadcast_matches_loop():
     cfg = make_cfg(uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN, Q=0.7)
     rng = np.random.default_rng(2)
-    d = rng.uniform(-2, 2, (6, 2))
+    x_p = rng.uniform(-2, 2, (6, 2))
     ts = rng.uniform(0.1, 3.0, 6)
-    batch = weighted_terms(d, ts, cfg)
+    batch = weighted_terms(x_p, np.zeros(2), ts, cfg)
     for i in range(6):
-        samp = rcs_sample(d[i], np.zeros(2), ts[i], cfg)
+        samp = rcs_sample(x_p[i], np.zeros(2), ts[i], cfg)
         assert batch[i] == pytest.approx(samp.weighted_norm_sq, rel=1e-12)
 
 
-def test_risk_of_sequence_sums():
-    cfg = make_cfg(Q=1.0)
-    samples = [rcs_sample([1.0 + 0.1 * i, 1.0], [2.0, 1.15], 0.1 * (i + 1), cfg)
-               for i in range(5)]
-    assert risk_of_sequence(samples) == pytest.approx(
-        sum(s.weighted_norm_sq for s in samples))
-    assert risk_of_sequence([]) == 0.0
+@pytest.mark.parametrize("spec", list(UncertaintySpec))
+def test_rcs_sample_batch_matches_single_samples(spec):
+    q = ((1.0, 0.4), (0.4, 0.5)) if spec.n_params == 2 else 1.3
+    cfg = make_cfg(uncertainty_spec=spec, rho_nominal=(0.2, -0.25), Q=q)
+    rng = np.random.default_rng(13)
+    x_p = rng.uniform(0.0, 4.0, (9, 2))
+    x_w = cfg.nominal_obstacle(rng.uniform(0.0, 3.0, 9))
+    ts = rng.uniform(0.1, 2.0, 9)
+    batch = rcs_sample(x_p, x_w, ts, cfg)
+    assert batch.s_g.shape == batch.s_gamma.shape == (9, spec.n_params)
+    assert batch.relevance.shape == batch.weighted_norm_sq.shape == (9,)
+    for i in range(9):
+        one = rcs_sample(x_p[i], x_w[i], ts[i], cfg)
+        for field in ("s_g", "relevance", "s_gamma", "weighted_norm_sq"):
+            np.testing.assert_allclose(getattr(batch, field)[i], getattr(one, field),
+                                       rtol=1e-12, atol=0.0)
 
 
 def test_rho2_field_is_rotated_rho1_field():
@@ -215,8 +230,8 @@ def test_rho2_field_is_rotated_rho1_field():
         d = rng.uniform(-2, 2, 2)
         t = rng.uniform(0.1, 4.0)
         rot = np.array([-d[1], d[0]])  # maps the x1 offset onto x2
-        v1 = float(weighted_terms(d, np.asarray(t), cfg1))
-        v2 = float(weighted_terms(rot, np.asarray(t), cfg2))
+        v1 = float(weighted_terms(d, np.zeros(2), t, cfg1))
+        v2 = float(weighted_terms(rot, np.zeros(2), t, cfg2))
         assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-15)
 
 
@@ -256,40 +271,48 @@ def test_field_grid_indexing():
         float(np.linalg.norm(samp.s_gamma)), rel=1e-12)
 
 
-def test_field_circular_symmetry_both_cartesian():
+def field_norms(cfg, p, x_w, t):
+    """||s_gamma|| at each of the (n, 2) positions p."""
+    return np.linalg.norm(rcs_sample(p, x_w, t, cfg).s_gamma, axis=-1)
+
+
+@pytest.mark.parametrize("radius", [1.1, 1.2])
+def test_field_circular_symmetry_both_cartesian(radius):
     cfg = make_cfg(uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN, Q=1.0)
     t = 2.0
-    x_w = nominal_obstacle(cfg.obstacle_start, cfg.rho_nominal, t)
+    x_w = cfg.nominal_obstacle(t)
     angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    radius = 1.1
-    vals = []
-    for a in angles:
-        p = x_w + radius * np.array([math.cos(a), math.sin(a)])
-        vals.append(float(np.linalg.norm(rcs_sample(p, x_w, t, cfg).s_gamma)))
-    assert max(vals) - min(vals) < 1e-12
+    ring = x_w + radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    vals = field_norms(cfg, ring, x_w, t)
+    assert vals.max() - vals.min() < 1e-12
 
 
-def test_field_axis_zero_and_mirror_rho1():
+@pytest.mark.parametrize("n_axis,offsets", [
+    (17, [(0.7, 0.3), (1.4, -1.0), (0.2, 2.0)]),
+    (21, [(0.5, 0.2), (1.0, -0.8), (1.6, 1.1)]),
+], ids=["axis17", "axis21"])
+def test_field_axis_zero_and_mirror_rho1(n_axis, offsets):
     cfg = make_cfg(uncertainty_spec=UncertaintySpec.RHO1_ONLY, Q=1.0)
     t = 1.5
-    x_w = nominal_obstacle(cfg.obstacle_start, cfg.rho_nominal, t)
-    for dy in np.linspace(-2.0, 2.0, 17):
-        p = x_w + np.array([0.0, dy])  # vertical axis through the obstacle
-        assert np.linalg.norm(rcs_sample(p, x_w, t, cfg).s_gamma) < 1e-12
-    for dx, dy in [(0.7, 0.3), (1.4, -1.0), (0.2, 2.0)]:
-        left = rcs_sample(x_w + [-dx, dy], x_w, t, cfg).s_gamma
-        right = rcs_sample(x_w + [dx, dy], x_w, t, cfg).s_gamma
-        assert abs(np.linalg.norm(left) - np.linalg.norm(right)) < 1e-12
+    x_w = cfg.nominal_obstacle(t)
+    # The vertical axis through the obstacle carries no field.
+    axis = x_w + np.stack([np.zeros(n_axis), np.linspace(-2.0, 2.0, n_axis)], axis=-1)
+    assert field_norms(cfg, axis, x_w, t).max() < 1e-12
+    right = field_norms(cfg, x_w + np.array(offsets), x_w, t)
+    left = field_norms(cfg, x_w + np.array(offsets) * [-1.0, 1.0], x_w, t)
+    assert np.abs(left - right).max() < 1e-12
 
 
-def test_field_zero_along_nominal_direction_heading_only():
+@pytest.mark.parametrize("cfg,n", [
+    (make_cfg(uncertainty_spec=UncertaintySpec.HEADING_ONLY,
+              rho_nominal=(-0.3, 0.0), rho_true=(-0.3, 0.0), Q=1.0), 15),
+    (preset("fig6_heading"), 21),
+], ids=["custom", "fig6_heading"])
+def test_field_zero_along_nominal_direction_heading_only(cfg, n):
     # Heading uncertainty rotates the velocity, so offsets parallel to the
     # nominal velocity direction produce no first-order clearance change.
-    cfg = make_cfg(uncertainty_spec=UncertaintySpec.HEADING_ONLY,
-                   rho_nominal=(-0.3, 0.0), rho_true=(-0.3, 0.0), Q=1.0)
     t = 2.5
-    x_w = nominal_obstacle(cfg.obstacle_start, cfg.rho_nominal, t)
+    x_w = cfg.nominal_obstacle(t)
     direction = np.asarray(cfg.rho_nominal) / cfg.nominal_speed()
-    for r in np.linspace(-2.0, 2.0, 15):
-        p = x_w + r * direction
-        assert np.linalg.norm(rcs_sample(p, x_w, t, cfg).s_gamma) < 1e-12
+    line = x_w + np.linspace(-2.0, 2.0, n)[:, None] * direction
+    assert field_norms(cfg, line, x_w, t).max() < 1e-12

@@ -103,6 +103,16 @@ def test_pursuer_never_reads_true_obstacle_position(fig2_trace):
     assert replay_pursuer_decisions(cfg, scrubbed) == original
 
 
+def test_pursuer_never_reads_true_obstacle_velocity(fig2_trace):
+    # NaN tripwire on the config: a true-disk read anywhere in the pursuer's
+    # game, its own plan or its model of the evader, would change a heading.
+    blind = replace(fig2_trace.cfg)
+    object.__setattr__(blind, "rho_true", (math.nan, math.nan))  # validation refuses NaN
+    states = [r.state for r in fig2_trace.decision_records]
+    original = [r.u_head for r in fig2_trace.decision_records]
+    assert replay_pursuer_decisions(blind, states) == original
+
+
 def test_run_batch_matches_individual_runs():
     cfgs = [preset("fig2_collision"),
             replace(preset("fig2_collision"), epsilon=0.5)]
@@ -114,29 +124,53 @@ def test_run_batch_matches_individual_runs():
         assert trace.outcome == single.outcome
 
 
+def _hand_s_g(cfg, d, tau):
+    spec = cfg.uncertainty_spec
+    if spec is UncertaintySpec.RHO2_ONLY:
+        return [2.0 * tau * d[1]]
+    if spec is UncertaintySpec.BOTH_CARTESIAN:
+        return [2.0 * tau * d[0], 2.0 * tau * d[1]]
+    assert spec is UncertaintySpec.HEADING_ONLY
+    # d g / d psi for rho = speed * (cos psi, sin psi)
+    rx, ry = cfg.rho_nominal
+    speed, psi = math.hypot(rx, ry), math.atan2(ry, rx)
+    return [2.0 * tau * speed * (d[1] * math.cos(psi) - d[0] * math.sin(psi))]
+
+
 def test_plan_risk_hand_computed():
     # Independent recomputation of the logged risk: relevance-weighted
     # squared sensitivity, summed over the horizon. Sensitivity time runs
     # from the planning instant; the nominal obstacle runs on game time.
-    cfg = replace(preset("fig3_desensitized"), N=4)
-    s0 = initial_state(cfg)
-    base = step_state(s0, 0.3, 0.1, cfg)  # some mid-game state, t = 0.1
-    u = ControlSequence(headings=np.array([0.2, -0.1, 0.05, 0.3]), speed=cfg.u_c)
-    got = plan_risk(cfg, base, u)
+    fig3 = replace(preset("fig3_desensitized"), N=4)
+    cases = [
+        fig3,  # rho2 only, Q = 1
+        replace(fig3, uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN,
+                Q=((1.0, 0.3), (0.3, 0.5))),
+        replace(fig3, uncertainty_spec=UncertaintySpec.HEADING_ONLY,
+                rho_nominal=(0.15, -0.2), Q=2.0, relevance_scale=0.5),
+    ]
+    for cfg in cases:
+        s0 = initial_state(cfg)
+        base = step_state(s0, 0.3, 0.1, cfg)  # some mid-game state, t = 0.1
+        u = ControlSequence(headings=np.array([0.2, -0.1, 0.05, 0.3]), speed=cfg.u_c)
+        got = plan_risk(cfg, base, u)
 
-    expect = 0.0
-    p = base.x_p.copy()
-    for i in range(cfg.N):
-        h = u.headings[i]
-        p = p + cfg.u_c * np.array([math.cos(h), math.sin(h)]) * cfg.dt
-        t_abs = base.t + (i + 1) * cfg.dt
-        tau = (i + 1) * cfg.dt
-        w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * t_abs
-        d = p - w
-        g = cfg.r_o ** 2 - float(d @ d)
-        s_g = 2.0 * tau * d[1]  # rho2-only sensitivity
-        expect += 1.0 * (relevance(g) * s_g) ** 2  # Q = 1
-    assert got == pytest.approx(expect, rel=1e-9)
+        q = cfg.q_matrix()
+        expect = 0.0
+        p = base.x_p.copy()
+        for i in range(cfg.N):
+            h = u.headings[i]
+            p = p + cfg.u_c * np.array([math.cos(h), math.sin(h)]) * cfg.dt
+            t_abs = base.t + (i + 1) * cfg.dt
+            tau = (i + 1) * cfg.dt
+            w = np.asarray(cfg.obstacle_start) + np.asarray(cfg.rho_nominal) * t_abs
+            d = p - w
+            gam = relevance(cfg.relevance_scale * (cfg.r_o ** 2 - float(d @ d)))
+            s_g = _hand_s_g(cfg, d, tau)
+            expect += gam * gam * sum(s_g[a] * q[a][b] * s_g[b]
+                                      for a in range(len(s_g)) for b in range(len(s_g)))
+        assert expect > 0.0
+        assert got == pytest.approx(expect, rel=1e-9), cfg.uncertainty_spec
 
 
 def test_plan_risk_zero_weight():
