@@ -122,15 +122,10 @@ class ScenarioConfig:
             object.__setattr__(self, name, _as_number(getattr(self, name), name))
         for name in ("N", "seed"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if not isinstance(self.uncertainty_spec, UncertaintySpec):
-            try:
-                object.__setattr__(
-                    self, "uncertainty_spec", UncertaintySpec(self.uncertainty_spec))
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
-        if not isinstance(self.evader_mode, EvaderMode):
-            try:
-                object.__setattr__(self, "evader_mode", EvaderMode(self.evader_mode))
+        for name, kind in (("uncertainty_spec", UncertaintySpec),
+                           ("evader_mode", EvaderMode)):
+            try:  # an Enum called on one of its members returns that member
+                object.__setattr__(self, name, kind(getattr(self, name)))
             except ValueError as exc:
                 raise ValidationError(str(exc)) from exc
         q = self.Q

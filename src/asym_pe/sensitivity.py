@@ -7,7 +7,7 @@ nominal obstacle trajectory.
 
 Every risk number comes from one vectorized formula: weighted_terms, the
 optimizer's batch risk term, and rcs_sample, which also returns the rows
-it is made of and scores the logged plan risk and evaluate_objective.
+it is made of and scores the logged plan risk and the field grid.
 Sensitivity time restarts at zero at each planning instant: callers pass
 times measured from the start of the horizon, while the nominal obstacle
 position keeps game time.
@@ -75,28 +75,33 @@ def _s_g_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
             * (d[..., 1] * np.cos(psi) - d[..., 0] * np.sin(psi)))[..., None]
 
 
-def _rcs(x_p, x_w, t, cfg: ScenarioConfig):
-    """(s_g, gamma(g), s_gamma = gamma(g) s_g, ||s_gamma||^2_Q) at positions x_p.
+def _rcs(d, g, t, cfg: ScenarioConfig):
+    """(s_g, gamma(g), s_gamma = gamma(g) s_g, ||s_gamma||^2_Q) at displacements d.
 
-    x_p and x_w are (..., 2) arrays of pursuer and nominal obstacle
-    positions; t broadcasts against their leading shape, as in _s_g_rows.
+    d = x_p - x_w_nominal is a (..., 2) array and g its clearance
+    constraint_g(x_p, x_w_nominal, r_o), shaped (...); t broadcasts against
+    that leading shape, as in _s_g_rows.
     """
-    gam = relevance(cfg.relevance_scale * constraint_g(x_p, x_w, cfg.r_o))
-    s_g = _s_g_rows(x_p - x_w, t, cfg)
+    gam = relevance(cfg.relevance_scale * g)
+    s_g = _s_g_rows(d, t, cfg)
     s_gamma = np.asarray(gam)[..., None] * s_g
     return s_g, gam, s_gamma, np.einsum(
         "...i,ij,...j->...", s_gamma, cfg.q_matrix(), s_gamma)
 
 
-def weighted_terms(x_p: np.ndarray, x_w: np.ndarray, t,
+def weighted_terms(d: np.ndarray, g: np.ndarray, t,
                    cfg: ScenarioConfig) -> np.ndarray:
-    """||vec(S_gamma)||^2_Q alone, shaped as in _rcs: the optimizer's risk term."""
-    return _rcs(x_p, x_w, t, cfg)[3]
+    """||vec(S_gamma)||^2_Q alone, shaped as in _rcs: the optimizer's risk term.
+
+    The optimizer passes the clearance it already computed for its penalty.
+    """
+    return _rcs(d, g, t, cfg)[3]
 
 
 def rcs_sample(x_p, x_w_nominal, t, cfg: ScenarioConfig) -> RcsSample:
     """Relevant constraint sensitivity of one or a batch of samples, as in _rcs."""
-    return RcsSample(*_rcs(x_p, x_w_nominal, t, cfg))
+    g = constraint_g(x_p, x_w_nominal, cfg.r_o)
+    return RcsSample(*_rcs(x_p - x_w_nominal, g, t, cfg))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,13 @@ One player optimizes its N-step heading sequence against a frozen opponent
 sequence (or a pure-pursuit opponent model in the deception game), subject
 to obstacle clearance at every horizon sample. Solved by an exterior
 quadratic penalty with finite-difference gradient descent, backtracking
-line search, and (for the deceptive evader) seeded multi-start; all
-candidate evaluation is batched but reproduces the sequential step_state
-positions bit for bit.
+line search, and (for the deceptive evader) seeded multi-start.
+
+_BatchEval is the one evaluator: it scores a batch of candidate heading
+sequences, and the reported payoff and violations of a single sequence
+(evaluate_objective, constraint_violations) are its one-row scoring. Its
+positions reproduce the sequential step_state chain bit for bit; the
+scalar step_state reference it is tested against is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from .game import (
     ScenarioConfig,
     ValidationError,
     constraint_g,
-    step_state,
 )
-from .sensitivity import rcs_sample, weighted_terms
+# rcs_sample has no caller here; it stays importable as trajopt.rcs_sample
+# because gamebench/tracing.py wraps that name and stops if it is missing.
+from .sensitivity import rcs_sample, weighted_terms  # noqa: F401
 
 
 class Player(Enum):
@@ -55,10 +60,6 @@ class NoFeasibleSequence(RuntimeError):
     """Every optimizer start ended with obstacle violation above tolerance."""
 
 
-class CoincidentPositions(ValueError):
-    """Pure-pursuit direction undefined: modeled pursuer sits on the evader."""
-
-
 # Shared with the termination check: plans accepted at this tolerance
 # must not register as collisions when executed.
 FEASIBILITY_TOL = COLLISION_TOL
@@ -73,15 +74,6 @@ GRAD_TOL = 1e-8
 # Perturbation spread for multi-start seeds, radians; last entry covers
 # full heading reversals.
 PERTURB_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, math.pi)
-
-
-def pure_pursuit_model(x_p_hat: np.ndarray, x_e: np.ndarray, u_c: float) -> np.ndarray:
-    """Feedback pursuit velocity: full speed straight at the evader."""
-    d = np.asarray(x_e, dtype=float) - np.asarray(x_p_hat, dtype=float)
-    n = float(np.linalg.norm(d))
-    if n == 0.0:
-        raise CoincidentPositions("pursuit direction undefined at zero separation")
-    return u_c * d / n
 
 
 @dataclass(frozen=True)
@@ -156,65 +148,16 @@ def track(start: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
     return np.cumsum(steps, axis=-2)[..., 1:, :]
 
 
-def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
-            cfg: ScenarioConfig) -> list[GameState]:
-    """N+1 states applying both heading sequences; roles resolved by speed."""
-    if len(mine) != len(theirs):
-        raise ValidationError(
-            f"sequence lengths differ: {len(mine)} vs {len(theirs)}")
-    if mine.speed == cfg.u_c:
-        u_seq, v_seq = mine, theirs
-    else:
-        u_seq, v_seq = theirs, mine
-    states = [start]
-    s = start
-    for u_head, v_head in zip(u_seq.headings, v_seq.headings):
-        s = step_state(s, float(u_head), float(v_head), cfg)
-        states.append(s)
-    return states
-
-
-def _deception_terminals(start: GameState, v_seq: ControlSequence,
-                         cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(modeled pursuer, evader, true obstacle) positions at the horizon end."""
-    e_pos = track(start.x_e, v_seq.velocities(), cfg.dt)
-    xp = start.x_p
-    e_prev = start.x_e
-    for i in range(len(v_seq)):
-        vel = pure_pursuit_model(xp, e_prev, cfg.u_c)
-        xp = xp + vel * cfg.dt
-        e_prev = e_pos[i]
-    t_end = horizon_times(start.t, len(v_seq), cfg.dt)[-1]
-    return xp, e_pos[-1], cfg.true_obstacle(t_end)
-
-
-def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
-    """Raw payoff of one heading sequence (unpenalized, unsigned)."""
-    cfg = prob.cfg
-    if prob.player is Player.DECEPTIVE_EVADER:
-        xp_hat, x_e_term, w_true = _deception_terminals(prob.start_state, seq, cfg)
-        return (cfg.alpha_o * float(np.linalg.norm(xp_hat - x_e_term))
-                - cfg.alpha_d * float(np.linalg.norm(xp_hat - w_true)))
-    states = rollout(prob.start_state, seq, prob.opponent_seq, cfg)
-    value = float(np.linalg.norm(states[-1].x_p - states[-1].x_e))
-    if prob.risk:
-        # Sensitivity time restarts at zero at each planning step, so
-        # uncertainty acts over the lookahead, not over elapsed game time.
-        x_p = np.array([s.x_p for s in states[1:]])
-        x_w = np.array([s.x_w_nominal for s in states[1:]])
-        rel_ts = horizon_times(0.0, len(seq), cfg.dt)
-        value += float(np.sum(rcs_sample(x_p, x_w, rel_ts, cfg).weighted_norm_sq))
-    return value
-
-
 class _BatchEval:
-    """Vectorized objective/constraint evaluation over candidate headings.
+    """Vectorized payoff/constraint evaluation over candidate headings.
 
     Positions are accumulated step by step with the same float operations
-    as step_state, so each row's positions equal rollout's bit for bit.
-    The payoff is evaluate_objective's formula but not its arithmetic:
-    norms taken along an axis and the einsum risk term can differ from the
-    scalar norm and matrix products in the last bits.
+    as step_state, so each row's positions equal the step_state chain's
+    bit for bit. The payoff is the scalar reference's formula (the
+    step_state rollout in tests/oracles.py) but not its arithmetic: norms
+    taken along an axis and the batched pure-pursuit and risk terms can
+    differ from the scalar norms in the last bits. evaluate_objective and
+    constraint_violations are the one-row scoring of a sequence.
     """
 
     def __init__(self, prob: HorizonProblem):
@@ -257,14 +200,16 @@ class _BatchEval:
         rows[:, np.arange(2 * self.n), self.fd_cols] += self.fd_steps
         return rows.reshape(-1, self.n)
 
-    def violations(self, pos: np.ndarray) -> np.ndarray:
-        return np.maximum(constraint_g(pos, self.w_model, self.cfg.r_o), 0.0)
+    def clearance(self, pos: np.ndarray) -> np.ndarray:
+        """(B, N) constraint_g against the disk this player plans with."""
+        return constraint_g(pos, self.w_model, self.cfg.r_o)
 
     def __call__(self, headings: np.ndarray):
         """Returns (raw payoff, penalty sum, max violation), each (B,)."""
         cfg = self.cfg
         pos = self.positions(headings)
-        viol = self.violations(pos)
+        g = self.clearance(pos)
+        viol = np.maximum(g, 0.0)
         pen = np.sum(viol * viol, axis=-1)
         viol_max = viol.max(axis=-1)
         if self.deceptive:
@@ -282,22 +227,23 @@ class _BatchEval:
         else:
             raw = np.linalg.norm(pos[:, -1] - self.opp_pos[-1], axis=-1)
             if self.risk:
-                raw = raw + np.sum(
-                    weighted_terms(pos, self.w_nominal, self.rel_ts, cfg), axis=-1)
+                # Only the pursuer's own plan carries risk, and it plans with
+                # the nominal disk, so g is already the risk gate's clearance.
+                raw = raw + np.sum(weighted_terms(
+                    pos - self.w_nominal, g, self.rel_ts, cfg), axis=-1)
         return raw, pen, viol_max
+
+
+def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
+    """Raw payoff of one heading sequence (unpenalized, unsigned)."""
+    raw, _, _ = _BatchEval(prob)(seq.headings[None, :])
+    return float(raw[0])
 
 
 def constraint_violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
     """Per-sample max(0, g) of the optimizing player, shape (N,)."""
     ev = _BatchEval(prob)
-    return ev.violations(ev.positions(seq.headings[None, :]))[0]
-
-
-def objective_gradient(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
-    """Central-difference gradient of the batch payoff w.r.t. headings."""
-    ev = _BatchEval(prob)
-    raw, _, _ = ev(ev.fd_stencil(seq.headings[None, :]))
-    return (raw[0::2] - raw[1::2]) / (2.0 * GRAD_H)
+    return np.maximum(ev.clearance(ev.positions(seq.headings[None, :]))[0], 0.0)
 
 
 def shift_and_hold(seq: ControlSequence) -> ControlSequence:

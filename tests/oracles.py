@@ -1,9 +1,17 @@
-"""Independent oracles for the sensitivity rows, used only by tests.
+"""Independent oracles for the runtime's vectorized paths, used only by tests.
 
-The runtime evaluates constraint sensitivities in closed form
-(asym_pe.sensitivity._s_g_rows). These helpers rebuild the Cartesian row
-another way: integrate the stacked-state sensitivity ODE, then chain the
-clearance gradient through it.
+Horizon payoff: the runtime scores every heading sequence with the batch
+evaluator (asym_pe.trajopt._BatchEval). The scalar reference here rolls
+the game forward one step_state call at a time, runs the deceptive
+evader's pure-pursuit model one step at a time, and scores the risk with
+one rcs_sample call; violations takes each sample's clearance along the
+same chain, and objective_gradient takes central differences of the
+batch payoff.
+
+Sensitivity rows: the runtime evaluates constraint sensitivities in closed
+form (asym_pe.sensitivity._s_g_rows). These helpers rebuild the Cartesian
+row another way: integrate the stacked-state sensitivity ODE, then chain
+the clearance gradient through it.
 """
 
 from __future__ import annotations
@@ -12,7 +20,107 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from asym_pe.game import ControlSequence, ScenarioConfig, ValidationError
+from asym_pe.game import (
+    ControlSequence,
+    GameState,
+    ScenarioConfig,
+    ValidationError,
+    step_state,
+)
+from asym_pe.sensitivity import rcs_sample
+from asym_pe.trajopt import GRAD_H, HorizonProblem, Player, _BatchEval, horizon_times, track
+
+
+class CoincidentPositions(ValueError):
+    """Pure-pursuit direction undefined: modeled pursuer sits on the evader."""
+
+
+def pure_pursuit_model(x_p_hat: np.ndarray, x_e: np.ndarray, u_c: float) -> np.ndarray:
+    """Feedback pursuit velocity: full speed straight at the evader."""
+    d = np.asarray(x_e, dtype=float) - np.asarray(x_p_hat, dtype=float)
+    n = float(np.linalg.norm(d))
+    if n == 0.0:
+        raise CoincidentPositions("pursuit direction undefined at zero separation")
+    return u_c * d / n
+
+
+def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
+            cfg: ScenarioConfig) -> list[GameState]:
+    """N+1 states applying both heading sequences; roles resolved by speed."""
+    if len(mine) != len(theirs):
+        raise ValidationError(
+            f"sequence lengths differ: {len(mine)} vs {len(theirs)}")
+    if mine.speed == cfg.u_c:
+        u_seq, v_seq = mine, theirs
+    else:
+        u_seq, v_seq = theirs, mine
+    states = [start]
+    s = start
+    for u_head, v_head in zip(u_seq.headings, v_seq.headings):
+        s = step_state(s, float(u_head), float(v_head), cfg)
+        states.append(s)
+    return states
+
+
+def _deception_terminals(start: GameState, v_seq: ControlSequence,
+                         cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(modeled pursuer, evader, true obstacle) positions at the horizon end."""
+    e_pos = track(start.x_e, v_seq.velocities(), cfg.dt)
+    xp = start.x_p
+    e_prev = start.x_e
+    for i in range(len(v_seq)):
+        vel = pure_pursuit_model(xp, e_prev, cfg.u_c)
+        xp = xp + vel * cfg.dt
+        e_prev = e_pos[i]
+    t_end = horizon_times(start.t, len(v_seq), cfg.dt)[-1]
+    return xp, e_pos[-1], cfg.true_obstacle(t_end)
+
+
+def objective(prob: HorizonProblem, seq: ControlSequence) -> float:
+    """Scalar reference for the raw payoff of one heading sequence."""
+    cfg = prob.cfg
+    if prob.player is Player.DECEPTIVE_EVADER:
+        xp_hat, x_e_term, w_true = _deception_terminals(prob.start_state, seq, cfg)
+        return (cfg.alpha_o * float(np.linalg.norm(xp_hat - x_e_term))
+                - cfg.alpha_d * float(np.linalg.norm(xp_hat - w_true)))
+    states = rollout(prob.start_state, seq, prob.opponent_seq, cfg)
+    value = float(np.linalg.norm(states[-1].x_p - states[-1].x_e))
+    if prob.risk:
+        # Sensitivity time restarts at zero at each planning step, so
+        # uncertainty acts over the lookahead, not over elapsed game time.
+        x_p = np.array([s.x_p for s in states[1:]])
+        x_w = np.array([s.x_w_nominal for s in states[1:]])
+        rel_ts = horizon_times(0.0, len(seq), cfg.dt)
+        value += float(np.sum(rcs_sample(x_p, x_w, rel_ts, cfg).weighted_norm_sq))
+    return value
+
+
+def violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
+    """Scalar reference for the per-sample max(0, g) of the optimizing player.
+
+    The deceptive evader's opponent is a feedback model; a frozen pursuer
+    sequence drives the chain instead, since only the evader's own
+    positions enter its clearance.
+    """
+    cfg = prob.cfg
+    opp = prob.opponent_seq
+    if opp is None:
+        opp = ControlSequence(headings=np.zeros(cfg.N), speed=cfg.u_c)
+    states = rollout(prob.start_state, seq, opp, cfg)[1:]
+    out = np.empty(len(states))
+    for i, s in enumerate(states):
+        x = s.x_p if prob.player.pursues else s.x_e
+        w = s.x_w_true if prob.player.knows_true_disk else s.x_w_nominal
+        d = x - w
+        out[i] = max(cfg.r_o ** 2 - float(d @ d), 0.0)
+    return out
+
+
+def objective_gradient(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
+    """Central-difference gradient of the batch payoff w.r.t. headings."""
+    ev = _BatchEval(prob)
+    raw, _, _ = ev(ev.fd_stencil(seq.headings[None, :]))
+    return (raw[0::2] - raw[1::2]) / (2.0 * GRAD_H)
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,9 @@ def test_zero_weight_risk_path_is_identical():
         headings = rng.uniform(-7, 7, (16, cfg.N))
         pos = ev.positions(headings)
         raw = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
+        g = constraint_g(pos, ev.w_nominal, cfg.r_o)
         risk_path = raw + np.sum(
-            weighted_terms(pos, ev.w_nominal, ev.rel_ts, cfg), axis=-1)
+            weighted_terms(pos - ev.w_nominal, g, ev.rel_ts, cfg), axis=-1)
         mismatches += int(np.sum(ev(headings)[0] != risk_path))
         rows += len(headings)
     ok = mismatches == 0

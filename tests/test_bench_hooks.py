@@ -32,7 +32,8 @@ def test_tracer_installs_on_the_program_and_restores_it():
                                    trajopt=trajopt, trace_io=trace_io))
     try:
         assert sim.solve_pursuer_game is not before[0]["solve_pursuer_game"]
-        trace = sim.run(replace(preset("fig2_collision"), t_max=0.2))
+        # Q = 1, so the pursuer's risk term runs through the wrapped name.
+        trace = sim.run(replace(preset("fig3_desensitized"), t_max=0.2))
         tracer.metrics(rounds=1)  # raises MissingHook if no layer was seen
     finally:
         tracer.uninstall()
@@ -42,6 +43,10 @@ def test_tracer_installs_on_the_program_and_restores_it():
     assert tracer.calls["game_solver.pursuer"] == decisions
     assert tracer.calls["game_solver.evader"] == decisions
     assert tracer.calls["sim.plan_risk"] == decisions
+    # The batch evaluator scores the risk through trajopt.weighted_terms,
+    # and nothing in a game calls the one-sequence scorings.
+    assert tracer.calls["sensitivity.weighted_terms"] > 0
+    assert tracer.calls["trajopt.scalar_eval"] == 0
     for owner, names in zip(owners, before):
         restored = vars(owner)
         assert restored.keys() == names.keys()

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asym_pe.game import ControlSequence, UncertaintySpec, ValidationError
+from asym_pe.game import ControlSequence, UncertaintySpec, ValidationError, constraint_g
 from asym_pe.scenarios import preset
 from asym_pe.sensitivity import (
     GridSpec,
@@ -32,6 +32,11 @@ def make_cfg(**overrides):
 
 
 CARTESIAN = make_cfg(uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN)
+
+
+def risk_terms(x_p, x_w, t, cfg):
+    """weighted_terms at positions x_p against obstacle positions x_w."""
+    return weighted_terms(x_p - x_w, constraint_g(x_p, x_w, cfg.r_o), t, cfg)
 
 
 def nominal_obstacle(w0, rho, t):
@@ -188,7 +193,7 @@ def test_rcs_sample_consistency():
     assert samp.weighted_norm_sq == pytest.approx(
         1.5 * float(samp.s_gamma @ samp.s_gamma))
     # The optimizer's batch term is the sample's weighted norm.
-    batched = weighted_terms(x_p, x_w, t, cfg)
+    batched = risk_terms(x_p, x_w, t, cfg)
     assert float(batched) == pytest.approx(samp.weighted_norm_sq, rel=1e-12)
 
 
@@ -197,7 +202,7 @@ def test_weighted_terms_broadcast_matches_loop():
     rng = np.random.default_rng(2)
     x_p = rng.uniform(-2, 2, (6, 2))
     ts = rng.uniform(0.1, 3.0, 6)
-    batch = weighted_terms(x_p, np.zeros(2), ts, cfg)
+    batch = risk_terms(x_p, np.zeros(2), ts, cfg)
     for i in range(6):
         samp = rcs_sample(x_p[i], np.zeros(2), ts[i], cfg)
         assert batch[i] == pytest.approx(samp.weighted_norm_sq, rel=1e-12)
@@ -230,8 +235,8 @@ def test_rho2_field_is_rotated_rho1_field():
         d = rng.uniform(-2, 2, 2)
         t = rng.uniform(0.1, 4.0)
         rot = np.array([-d[1], d[0]])  # maps the x1 offset onto x2
-        v1 = float(weighted_terms(d, np.zeros(2), t, cfg1))
-        v2 = float(weighted_terms(rot, np.zeros(2), t, cfg2))
+        v1 = float(risk_terms(d, np.zeros(2), t, cfg1))
+        v2 = float(risk_terms(rot, np.zeros(2), t, cfg2))
         assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-15)
 
 

@@ -18,7 +18,6 @@ from asym_pe.scenarios import preset
 from asym_pe.trajopt import (
     FEASIBILITY_TOL,
     GRAD_H,
-    CoincidentPositions,
     HorizonProblem,
     NoFeasibleSequence,
     Player,
@@ -27,11 +26,9 @@ from asym_pe.trajopt import (
     constraint_violations,
     evaluate_objective,
     horizon_times,
-    objective_gradient,
-    pure_pursuit_model,
-    rollout,
     shift_and_hold,
 )
+import oracles
 
 
 def make_cfg(**overrides):
@@ -83,11 +80,11 @@ def test_horizon_times_matches_stepwise_accumulation():
 
 
 def test_pure_pursuit_model():
-    v = pure_pursuit_model(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 1.0)
+    v = oracles.pure_pursuit_model(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 1.0)
     np.testing.assert_allclose(v, [0.6, 0.8])
     assert np.linalg.norm(v) == pytest.approx(1.0)
-    with pytest.raises(CoincidentPositions):
-        pure_pursuit_model(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0)
+    with pytest.raises(oracles.CoincidentPositions):
+        oracles.pure_pursuit_model(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0)
 
 
 def test_problem_validation():
@@ -155,22 +152,22 @@ def test_rollout_matches_step_state_chain():
     rng = np.random.default_rng(1)
     u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
     v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
-    states = rollout(s0, u, v, cfg)
+    states = oracles.rollout(s0, u, v, cfg)
     assert len(states) == cfg.N + 1
     # Role resolution by speed: passing the sequences in either order
     # produces the same states.
-    swapped = rollout(s0, v, u, cfg)
+    swapped = oracles.rollout(s0, v, u, cfg)
     for a, b in zip(states, swapped):
         np.testing.assert_array_equal(a.x_p, b.x_p)
         np.testing.assert_array_equal(a.x_e, b.x_e)
     with pytest.raises(ValidationError):
-        rollout(s0, u, constant_seq(0.0, cfg.N - 1, cfg.v_c), cfg)
+        oracles.rollout(s0, u, constant_seq(0.0, cfg.N - 1, cfg.v_c), cfg)
 
 
 def test_gradient_matches_sequential_finite_differences():
     # The batched stencil evaluation must reproduce plain central
     # differences of one-row batch scorings bit for bit, and those of the
-    # scalar evaluate_objective up to the payoffs' last-bit rounding. Seeds
+    # scalar reference payoff up to the payoffs' last-bit rounding. Seeds
     # past 4 are draws where batch and scalar payoffs round differently.
     cfg = make_cfg(Q=1.0)
     s0 = initial_state(cfg)
@@ -179,7 +176,7 @@ def test_gradient_matches_sequential_finite_differences():
         v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
         prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
         u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
-        grad = objective_gradient(prob, u)
+        grad = oracles.objective_gradient(prob, u)
         ev = _BatchEval(prob)
         batch = np.empty(cfg.N)
         scalar = np.empty(cfg.N)
@@ -189,8 +186,8 @@ def test_gradient_matches_sequential_finite_differences():
             hp[j] += GRAD_H
             hm[j] -= GRAD_H
             batch[j] = (ev(hp[None, :])[0][0] - ev(hm[None, :])[0][0]) / (2 * GRAD_H)
-            fp = evaluate_objective(prob, ControlSequence(headings=hp, speed=cfg.u_c))
-            fm = evaluate_objective(prob, ControlSequence(headings=hm, speed=cfg.u_c))
+            fp = oracles.objective(prob, ControlSequence(headings=hp, speed=cfg.u_c))
+            fm = oracles.objective(prob, ControlSequence(headings=hm, speed=cfg.u_c))
             scalar[j] = (fp - fm) / (2 * GRAD_H)
         np.testing.assert_array_equal(grad, batch, err_msg=f"seed {seed}")
         np.testing.assert_allclose(grad, scalar, rtol=0.0, atol=1e-8,
@@ -317,27 +314,34 @@ def test_feasible_init_never_gets_worse():
         assert resp.objective_value <= init_val + 1e-12
 
 
+# case: (preset, player); every frozen opponent runs the line of sight.
+REPORTED_VALUE_CASES = {
+    "desensitized_pursuer": ("fig3_desensitized", Player.PURSUER),
+    "evader_true_disk": ("fig2_collision", Player.EVADER),
+    "deceptive_evader": ("fig7_deception_collision", Player.DECEPTIVE_EVADER),
+    "pursuer_q0": ("fig2_collision", Player.PURSUER),
+    "evader_model": ("fig3_desensitized", Player.EVADER_MODEL),
+    "pursuer_model": ("fig3_desensitized", Player.PURSUER_MODEL),
+}
+
+
 def _reported_value_problem(case: str) -> HorizonProblem:
-    if case == "desensitized_pursuer":
-        cfg = preset("fig3_desensitized")
-        s0 = initial_state(cfg)
-        v = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
-        return HorizonProblem(Player.PURSUER, s0, v, cfg)
-    if case == "evader_true_disk":
-        cfg = preset("fig2_collision")
-        s0 = initial_state(cfg)
-        u = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
-        return HorizonProblem(Player.EVADER, s0, u, cfg)
-    cfg = preset("fig7_deception_collision")
-    return HorizonProblem(Player.DECEPTIVE_EVADER, initial_state(cfg), None, cfg)
+    name, player = REPORTED_VALUE_CASES[case]
+    cfg = preset(name)
+    s0 = initial_state(cfg)
+    if player is Player.DECEPTIVE_EVADER:
+        return HorizonProblem(player, s0, None, cfg)
+    opp = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N,
+                       cfg.v_c if player.pursues else cfg.u_c)
+    return HorizonProblem(player, s0, opp, cfg)
 
 
-@pytest.mark.parametrize(
-    "case", ["desensitized_pursuer", "evader_true_disk", "deceptive_evader"])
+@pytest.mark.parametrize("case", list(REPORTED_VALUE_CASES))
 def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
-    # The reported payoff and violation come from the batch evaluator the
-    # optimizer uses: bitwise equal to a one-row scoring of the returned
-    # sequence, and within rounding of the scalar references.
+    # The reported payoff and violation, and evaluate_objective and
+    # constraint_violations, come from the batch evaluator the optimizer
+    # uses: bitwise equal to a one-row scoring of the returned sequence,
+    # and within rounding of the scalar references in tests/oracles.py.
     prob = _reported_value_problem(case)
     s0 = prob.start_state
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), prob.cfg.N,
@@ -346,14 +350,16 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
     raw, _, viol = _BatchEval(prob)(resp.sequence.headings[None, :])
     assert resp.objective_value == raw[0]
     assert resp.constraint_max_violation == viol[0]
+    assert evaluate_objective(prob, resp.sequence) == raw[0]
+    assert constraint_violations(prob, resp.sequence).max() == viol[0]
     assert abs(resp.objective_value
-               - evaluate_objective(prob, resp.sequence)) <= 1e-12
-    assert abs(resp.constraint_max_violation
-               - constraint_violations(prob, resp.sequence).max()) <= 1e-12
+               - oracles.objective(prob, resp.sequence)) <= 1e-12
+    np.testing.assert_allclose(constraint_violations(prob, resp.sequence),
+                               oracles.violations(prob, resp.sequence),
+                               rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "case", ["desensitized_pursuer", "evader_true_disk", "deceptive_evader"])
+@pytest.mark.parametrize("case", list(REPORTED_VALUE_CASES))
 def test_batch_positions_equal_step_state_chain(case):
     # Every row of a random batch, and the frozen opponent's track, must be
     # the positions the step_state chain visits, bit for bit.
@@ -369,7 +375,7 @@ def test_batch_positions_equal_step_state_chain(case):
     mine, theirs = ("x_p", "x_e") if prob.player.pursues else ("x_e", "x_p")
     for row, row_pos in zip(headings, pos):
         seq = ControlSequence(headings=row, speed=prob.my_speed)
-        states = rollout(prob.start_state, seq, opp, cfg)[1:]
+        states = oracles.rollout(prob.start_state, seq, opp, cfg)[1:]
         np.testing.assert_array_equal(
             row_pos, np.array([getattr(s, mine) for s in states]))
         if prob.opponent_seq is not None:
