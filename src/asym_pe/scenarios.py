@@ -18,7 +18,7 @@ from .game import EvaderMode, OutcomeKind, ScenarioConfig, UncertaintySpec
 
 
 class ParseError(ValueError):
-    """A scenario document is malformed (unknown, missing, or clashing keys)."""
+    """A scenario document is malformed: not UTF-8, or bad keys or values."""
 
 
 def polar_velocity(speed: float, heading_deg: float) -> tuple[float, float]:
@@ -115,7 +115,8 @@ def scenario_from_mapping(mapping: dict) -> ScenarioConfig:
     """Build a config from a key/value mapping with preset defaults."""
     if not isinstance(mapping, dict):
         raise ParseError(f"scenario document must be a mapping, got {type(mapping).__name__}")
-    unknown = sorted(set(mapping) - _ALLOWED_KEYS)
+    # YAML keys need not be strings; str() lets mixed key types sort.
+    unknown = sorted(map(str, set(mapping) - _ALLOWED_KEYS))
     if unknown:
         raise ParseError(f"unknown scenario keys: {', '.join(unknown)}")
     merged: dict = {}
@@ -132,8 +133,12 @@ def scenario_from_mapping(mapping: dict) -> ScenarioConfig:
             if prefix in overrides:
                 raise ParseError(
                     f"{prefix} conflicts with its polar form {speed_key}/{head_key}")
-            overrides[prefix] = polar_velocity(
-                overrides.pop(speed_key), overrides.pop(head_key))
+            speed, heading = overrides.pop(speed_key), overrides.pop(head_key)
+            try:
+                overrides[prefix] = polar_velocity(speed, heading)
+            except (TypeError, ValueError):
+                raise ParseError(f"{speed_key} and {head_key} must be finite numbers, "
+                                 f"got {speed!r} and {heading!r}") from None
     merged.update(overrides)
     missing = [n for n in _FIELD_NAMES
                if n not in merged and _is_required(n)]
@@ -168,7 +173,11 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
         raise ParseError(
             f"{name!r} is neither a preset nor a scenario file; "
             f"presets: {', '.join(sorted(PRESETS))}")
-    return parse_scenario(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file {name!r} is not UTF-8 text: {exc}") from None
+    return parse_scenario(text)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:

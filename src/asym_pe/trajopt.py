@@ -184,10 +184,11 @@ class _BatchEval:
             self.opp_pos = None
         self.x_p0 = s0.x_p
         self.x_e0 = s0.x_e
-        # Central-difference stencil: row 2j steps heading j by +GRAD_H,
-        # row 2j+1 by -GRAD_H.
-        self.fd_cols = np.repeat(np.arange(self.n), 2)
-        self.fd_steps = np.tile([GRAD_H, -GRAD_H], self.n)
+        # Central-difference stencil around a point: row 0 is the point,
+        # rows 2j+1 and 2j+2 step heading j by +GRAD_H and -GRAD_H.
+        self.fd_offsets = np.zeros((2 * self.n + 1, self.n))
+        self.fd_offsets[1::2] = GRAD_H * np.eye(self.n)
+        self.fd_offsets[2::2] = -GRAD_H * np.eye(self.n)
 
     def positions(self, headings: np.ndarray) -> np.ndarray:
         """(B, N, 2) rollout of the optimizing player."""
@@ -195,10 +196,8 @@ class _BatchEval:
         return track(self.my_start, vel, self.dt)
 
     def fd_stencil(self, headings: np.ndarray) -> np.ndarray:
-        """(B*2N, N) central-difference rows around each (B, N) heading row."""
-        rows = np.repeat(headings[:, None, :], 2 * self.n, axis=1)
-        rows[:, np.arange(2 * self.n), self.fd_cols] += self.fd_steps
-        return rows.reshape(-1, self.n)
+        """(B*(2N+1), N): each (B, N) heading row followed by its 2N neighbours."""
+        return (headings[:, None, :] + self.fd_offsets).reshape(-1, self.n)
 
     def clearance(self, pos: np.ndarray) -> np.ndarray:
         """(B, N) constraint_g against the disk this player plans with."""
@@ -267,9 +266,11 @@ def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.nda
 def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     """Feasible local optimizer of the horizon problem from a warm start.
 
-    Exterior penalty method: for each start, gradient-descend the
-    sign-adjusted payoff plus mu * sum(max(0, g)^2), escalating mu until
-    the response is feasible; best feasible start wins, ties broken by
+    Exterior penalty method: one round per weight mu in MU_SCHEDULE. In a
+    round, every start still infeasible gradient-descends the sign-adjusted
+    payoff plus mu * sum(max(0, g)^2) until it no longer moves; the starts
+    wait for each other between rounds, and no round begins once every
+    start is feasible. The best feasible start wins, ties broken by
     objective then lexicographically smaller heading vector.
     """
     cfg = prob.cfg
@@ -287,57 +288,46 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
         raise ValidationError("init speed does not match the optimizing player")
     ev = _BatchEval(prob)
     sign = prob.sign
-    mu_arr = np.asarray(MU_SCHEDULE)
     ladder = INITIAL_STEP * BACKTRACK_FACTOR ** np.arange(N_BACKTRACKS)
 
     h_cur = _perturbed_starts(init, n_starts, cfg.seed)
-    mu_idx = np.zeros(n_starts, dtype=int)
-    round_iters = np.zeros(n_starts, dtype=int)
     total_iters = np.zeros(n_starts, dtype=int)
-    finished = np.zeros(n_starts, dtype=bool)
+    capped = np.zeros(n_starts, dtype=bool)
+    infeasible = np.ones(n_starts, dtype=bool)
 
-    while not finished.all():
-        act = np.flatnonzero(~finished)
-        a = len(act)
-        h_act = h_cur[act]
-        mu_act = mu_arr[mu_idx[act]]
-        # One batched call covers current points and all gradient stencils.
-        raw, pen, viol_max = ev(np.concatenate([h_act, ev.fd_stencil(h_act)]))
-        # Penalized values: current block then stencil block.
-        f_cur = sign * raw[:a] + mu_act * pen[:a]
-        f_sten = (sign * raw[a:] + np.repeat(mu_act, 2 * n) * pen[a:]).reshape(a, 2 * n)
-        grad = (f_sten[:, 0::2] - f_sten[:, 1::2]) / (2.0 * GRAD_H)
-        gnorm = np.linalg.norm(grad, axis=1)
+    for mu in MU_SCHEDULE:
+        act = np.flatnonzero(infeasible)
+        # Every start in the round has taken k accepted steps.
+        for k in range(MAX_DESCENT_ITERS + 1):
+            # One call scores each point and its stencil; column 0 is the point.
+            raw, pen, viol_max = ev(ev.fd_stencil(h_cur[act]))
+            f = (sign * raw + mu * pen).reshape(len(act), 2 * n + 1)
+            grad = (f[:, 1::2] - f[:, 2::2]) / (2.0 * GRAD_H)
+            gnorm = np.linalg.norm(grad, axis=1)
+            # The starts that search, narrowed below to the ones that move.
+            moved = np.isfinite(f[:, 0]) & (gnorm > GRAD_TOL) & (k < MAX_DESCENT_ITERS)
+            if moved.any():
+                direction = -grad[moved] / gnorm[moved][:, None]
+                cand = (h_cur[act[moved]][:, None, :]
+                        + ladder[None, :, None] * direction[:, None, :])
+                raw_l, pen_l, _ = ev(cand.reshape(-1, n))
+                f_l = (sign * raw_l + mu * pen_l).reshape(-1, N_BACKTRACKS)
+                # Each start takes the longest step that lowers its value.
+                better = f_l < f[moved, :1]
+                took = better.any(axis=1)
+                moved[moved] = took
+                h_cur[act[moved]] = cand[took, better[took].argmax(axis=1)]
+                total_iters[act[moved]] += 1
 
-        searchable = np.isfinite(f_cur) & (gnorm > GRAD_TOL) & (
-            round_iters[act] < MAX_DESCENT_ITERS)
-        accepted = np.zeros(a, dtype=bool)
-        if searchable.any():
-            direction = -grad[searchable] / gnorm[searchable][:, None]
-            cand = (h_act[searchable][:, None, :]
-                    + ladder[None, :, None] * direction[:, None, :])
-            raw_l, pen_l, _ = ev(cand.reshape(-1, n))
-            f_l = (sign * raw_l
-                   + np.repeat(mu_act[searchable], N_BACKTRACKS) * pen_l
-                   ).reshape(-1, N_BACKTRACKS)
-            # Each start takes the longest step that lowers its value.
-            better = f_l < f_cur[searchable][:, None]
-            took = better.any(axis=1)
-            accepted[searchable] = took
-            moved = act[accepted]
-            h_cur[moved] = cand[took, better[took].argmax(axis=1)]
-            round_iters[moved] += 1
-            total_iters[moved] += 1
-
-        # A start that did not move ends its round: it finishes when feasible
-        # or out of penalty weights, and otherwise escalates mu.
-        ended = act[~accepted]
-        done = ((viol_max[:a][~accepted] <= FEASIBILITY_TOL)
-                | (mu_idx[ended] == len(mu_arr) - 1))
-        finished[ended[done]] = True
-        escalate = ended[~done]
-        mu_idx[escalate] += 1
-        round_iters[escalate] = 0
+            # A start that did not move ends its round.
+            ended = act[~moved]
+            infeasible[ended] = viol_max[::2 * n + 1][~moved] > FEASIBILITY_TOL
+            capped[ended] = k == MAX_DESCENT_ITERS
+            act = act[moved]
+            if not len(act):
+                break
+        if not infeasible.any():
+            break
 
     # The warm start is the last row, scored like the winner it may replace.
     raw_f, _, viol_f = ev(np.vstack([h_cur, init.headings]))
@@ -355,8 +345,7 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
 
     seq = ControlSequence(headings=h_cur[winner].copy(), speed=prob.my_speed)
     obj, viol = raw_f[winner], viol_f[winner]
-    # A finished round's counter is frozen, so it still shows the cap.
-    converged = bool(round_iters[winner] < MAX_DESCENT_ITERS)
+    converged = not capped[winner]
 
     # Multi-start descent never accepts a worse penalized point, but the
     # raw payoff can still regress in corner cases; fall back to the warm

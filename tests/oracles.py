@@ -120,7 +120,8 @@ def objective_gradient(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray
     """Central-difference gradient of the batch payoff w.r.t. headings."""
     ev = _BatchEval(prob)
     raw, _, _ = ev(ev.fd_stencil(seq.headings[None, :]))
-    return (raw[0::2] - raw[1::2]) / (2.0 * GRAD_H)
+    # Row 0 is the point; rows 2j+1 and 2j+2 step heading j by +/-GRAD_H.
+    return (raw[1::2] - raw[2::2]) / (2.0 * GRAD_H)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,11 @@ def test_tracer_installs_on_the_program_and_restores_it():
     # and nothing in a game calls the one-sequence scorings.
     assert tracer.calls["sensitivity.weighted_terms"] > 0
     assert tracer.calls["trajopt.scalar_eval"] == 0
+    # Each GS iteration is two best responses, and their BestResponse
+    # fields still carry the descent's step count and cap flag.
+    assert tracer.calls["trajopt.best_response"] == 2 * tracer.counts["gs_iters"]
+    assert tracer.counts["descent_iters"] > 0
+    assert tracer.counts["descent_capped"] == 0
     for owner, names in zip(owners, before):
         restored = vars(owner)
         assert restored.keys() == names.keys()

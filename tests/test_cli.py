@@ -87,6 +87,23 @@ def test_scenario_file_with_a_bad_number_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "bad_trace.csv").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00", "error: scenario file"),
+    (b"1: 2\nfoo: 3\n", "error: unknown scenario keys: 1, foo"),
+    (b"preset: fig2_collision\nrho_true_speed: 0.3\nrho_true_heading_deg: abc\n",
+     "error: rho_true_speed and rho_true_heading_deg must be finite numbers"),
+])
+def test_malformed_scenario_file_is_an_error(tmp_path, capsys, content, message):
+    # Not UTF-8, keys of mixed types, a polar velocity that is not a number:
+    # each ends as an error naming the file or the key, not a traceback.
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    rc = cli.main(["run", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad_trace.csv").exists()
+
+
 def test_sweep_has_no_out_option(fast_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", str(fast_file), "--vary", "epsilon=0.3",

@@ -14,6 +14,7 @@ from asym_pe.game import (
     initial_state,
     line_of_sight_heading,
 )
+from asym_pe import sim, trajopt
 from asym_pe.scenarios import preset
 from asym_pe.trajopt import (
     FEASIBILITY_TOL,
@@ -22,6 +23,7 @@ from asym_pe.trajopt import (
     NoFeasibleSequence,
     Player,
     _BatchEval,
+    _perturbed_starts,
     best_response,
     constraint_violations,
     evaluate_objective,
@@ -396,6 +398,67 @@ def test_no_feasible_sequence_raises():
     init = constant_seq(math.pi, cfg.N, cfg.u_c)
     with pytest.raises(NoFeasibleSequence):
         best_response(prob, init)
+
+
+def _solved_alone(prob, starts, monkeypatch, mu_schedule=trajopt.MU_SCHEDULE):
+    """Each start's single-start response, or None where it has no feasible plan."""
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(trajopt, "N_STARTS", 1)
+        m.setattr(trajopt, "MU_SCHEDULE", mu_schedule)
+        for h in starts:
+            try:
+                out.append(best_response(prob, ControlSequence(h, prob.my_speed)))
+            except NoFeasibleSequence:
+                out.append(None)
+    return out
+
+
+def test_a_start_descends_as_if_alone(monkeypatch):
+    # The multi-start descent runs its starts in lockstep rounds, one per
+    # penalty weight. At these fig7 decisions some starts turn feasible at
+    # mu = 10 while others need mu = 1e2..1e4, so a start shares calls with
+    # batch-mates at other weights and stages. Its descent must still be
+    # the one it takes alone: the 8-start response is, bit for bit, the
+    # tie-rule winner among the starts solved one at a time.
+    cfg = replace(preset("fig7_deception_collision"), t_max=1.3)
+    recs = sim.run(cfg).decision_records
+    assert len(recs) == 13
+    mixed = 0
+    # The decisions at t = 0.8 .. 1.2, each warm-started as the game does.
+    for prev, rec in zip(recs[7:], recs[8:]):
+        warm = shift_and_hold(prev.evader.v_seq)
+        prob = HorizonProblem(Player.DECEPTIVE_EVADER, rec.state, None, cfg)
+        full = best_response(prob, warm)
+        starts = _perturbed_starts(warm, trajopt.N_STARTS, cfg.seed)
+        alone = [r for r in _solved_alone(prob, starts, monkeypatch) if r is not None]
+        winner = min(alone, key=lambda r: (prob.sign * r.objective_value,
+                                           tuple(r.sequence.headings)))
+        np.testing.assert_array_equal(full.sequence.headings, winner.sequence.headings,
+                                      err_msg=f"t={rec.t}")
+        assert full.solver_iters == winner.solver_iters
+        at_ten = _solved_alone(prob, starts, monkeypatch, (10.0,))
+        mixed += any(r is None for r in at_ten) and any(r is not None for r in at_ten)
+    assert mixed == 5
+
+
+@pytest.mark.parametrize("name, player, cap, expected", [
+    ("fig3_desensitized", Player.PURSUER, 60, (True, 11)),
+    ("fig3_desensitized", Player.PURSUER, 1, (False, 1)),
+    ("fig3_desensitized", Player.PURSUER, 2, (False, 2)),
+    ("fig7_deception_collision", Player.DECEPTIVE_EVADER, 60, (True, 50)),
+    ("fig7_deception_collision", Player.DECEPTIVE_EVADER, 1, (False, 1)),
+])
+def test_descent_cap_reaches_converged(monkeypatch, name, player, cap, expected):
+    # A round cut by MAX_DESCENT_ITERS reports the response unconverged.
+    cfg = preset(name)
+    s0 = initial_state(cfg)
+    los = line_of_sight_heading(s0.x_p, s0.x_e)
+    opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(los, cfg.N, cfg.v_c)
+    prob = HorizonProblem(player, s0, opp, cfg)
+    monkeypatch.setattr(trajopt, "MAX_DESCENT_ITERS", cap)
+    resp = best_response(prob, constant_seq(los, cfg.N, prob.my_speed))
+    assert (resp.converged, resp.solver_iters) == expected
 
 
 def test_best_response_input_validation():
