@@ -99,6 +99,22 @@ def _cmd_presets(_args) -> int:
     return 0
 
 
+def _decision_summary(trace) -> str:
+    """Held headings, and the Gauss-Seidel solves' iterations and non-convergence.
+
+    The deceptive evader's solve is no Gauss-Seidel game: it has no
+    pursuer sequence and is left out of gs_iters and unconverged.
+    """
+    holds = gs_iters = unconverged = 0
+    for rec in trace.decision_records:
+        holds += rec.pursuer_infeasible + rec.evader_infeasible
+        for dec in (rec.pursuer, rec.evader):
+            if dec is not None and dec.u_seq is not None:
+                gs_iters += dec.iters
+                unconverged += not dec.converged
+    return f"holds={holds} gs_iters={gs_iters} unconverged={unconverged}"
+
+
 def _cmd_verify(_args) -> int:
     failures = 0
     for preset_name, (kinds, target) in PRESET_EXPECTATIONS.items():
@@ -115,7 +131,8 @@ def _cmd_verify(_args) -> int:
             detail += f" band=[{lo:g},{hi:g}]"
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
-        print(f"{status} {preset_name}: {detail} ({elapsed:.1f}s)")
+        print(f"{status} {preset_name}: {detail} {_decision_summary(trace)} "
+              f"({elapsed:.1f}s)")
     if failures:
         print(f"{failures} preset check(s) failed", file=sys.stderr)
         return 1

@@ -57,7 +57,7 @@ class Player(Enum):
 
 
 class NoFeasibleSequence(RuntimeError):
-    """Every optimizer start ended with obstacle violation above tolerance."""
+    """No candidate, the warm start included, is within the feasibility tolerance."""
 
 
 # Shared with the termination check: plans accepted at this tolerance
@@ -270,8 +270,12 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     round, every start still infeasible gradient-descends the sign-adjusted
     payoff plus mu * sum(max(0, g)^2) until it no longer moves; the starts
     wait for each other between rounds, and no round begins once every
-    start is feasible. The best feasible start wins, ties broken by
-    objective then lexicographically smaller heading vector.
+    start is feasible. The candidates are the descended starts, each as
+    its last round left it, and the warm start itself, undescended. The
+    feasible candidate with the best finite sign-adjusted payoff wins; on
+    a tie a descended start beats the warm start, then the
+    lexicographically smaller heading vector wins. NoFeasibleSequence
+    means no candidate is feasible, the warm start included.
     """
     cfg = prob.cfg
     # Gauss-Seidel best responses run from the warm iterate only, mirroring
@@ -291,8 +295,12 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     ladder = INITIAL_STEP * BACKTRACK_FACTOR ** np.arange(N_BACKTRACKS)
 
     h_cur = _perturbed_starts(init, n_starts, cfg.seed)
-    total_iters = np.zeros(n_starts, dtype=int)
-    capped = np.zeros(n_starts, dtype=bool)
+    # Per candidate: the starts, then the warm start, which takes no step.
+    # A candidate's scores are those of the point where it stopped.
+    raw_end = np.empty(n_starts + 1)
+    viol_end = np.empty(n_starts + 1)
+    total_iters = np.zeros(n_starts + 1, dtype=int)
+    capped = np.zeros(n_starts + 1, dtype=bool)
     infeasible = np.ones(n_starts, dtype=bool)
 
     for mu in MU_SCHEDULE:
@@ -301,6 +309,9 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
         for k in range(MAX_DESCENT_ITERS + 1):
             # One call scores each point and its stencil; column 0 is the point.
             raw, pen, viol_max = ev(ev.fd_stencil(h_cur[act]))
+            if k == 0 and mu == MU_SCHEDULE[0]:
+                # Start 0 is the warm start, so row 0 scores it.
+                raw_end[-1], viol_end[-1] = raw[0], viol_max[0]
             f = (sign * raw + mu * pen).reshape(len(act), 2 * n + 1)
             grad = (f[:, 1::2] - f[:, 2::2]) / (2.0 * GRAD_H)
             gnorm = np.linalg.norm(grad, axis=1)
@@ -321,7 +332,9 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
 
             # A start that did not move ends its round.
             ended = act[~moved]
-            infeasible[ended] = viol_max[::2 * n + 1][~moved] > FEASIBILITY_TOL
+            raw_end[ended] = raw[::2 * n + 1][~moved]
+            viol_end[ended] = viol_max[::2 * n + 1][~moved]
+            infeasible[ended] = viol_end[ended] > FEASIBILITY_TOL
             capped[ended] = k == MAX_DESCENT_ITERS
             act = act[moved]
             if not len(act):
@@ -329,35 +342,21 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
         if not infeasible.any():
             break
 
-    # The warm start is the last row, scored like the winner it may replace.
-    raw_f, _, viol_f = ev(np.vstack([h_cur, init.headings]))
-    init_obj, init_viol = raw_f[-1], viol_f[-1]
-    raw_f, viol_f = raw_f[:-1], viol_f[:-1]
-    feasible = (viol_f <= FEASIBILITY_TOL) & np.isfinite(raw_f)
+    feasible = (viol_end <= FEASIBILITY_TOL) & np.isfinite(raw_end)
     if not feasible.any():
         raise NoFeasibleSequence(
-            f"no feasible heading sequence from {n_starts} starts "
-            f"(best violation {viol_f.min():.3g})")
-    keyed = np.where(feasible, sign * raw_f, np.inf)
-    best_val = keyed.min()
-    tied = np.flatnonzero(keyed == best_val)
-    winner = min(tied, key=lambda m: tuple(h_cur[m]))
-
-    seq = ControlSequence(headings=h_cur[winner].copy(), speed=prob.my_speed)
-    obj, viol = raw_f[winner], viol_f[winner]
-    converged = not capped[winner]
-
-    # Multi-start descent never accepts a worse penalized point, but the
-    # raw payoff can still regress in corner cases; fall back to the warm
-    # start if it was feasible, finite and strictly better.
-    if (init_viol <= FEASIBILITY_TOL and np.isfinite(init_obj)
-            and sign * init_obj < sign * obj):
-        seq, obj, viol, converged = init, init_obj, init_viol, True
+            f"no feasible heading sequence from {n_starts} starts or the warm "
+            f"start (best violation {viol_end.min():.3g})")
+    candidates = np.vstack([h_cur, init.headings])
+    winner = min(np.flatnonzero(feasible), key=lambda m: (
+        sign * raw_end[m], m == n_starts, tuple(candidates[m])))
+    seq = (init if winner == n_starts
+           else ControlSequence(headings=h_cur[winner].copy(), speed=prob.my_speed))
 
     return BestResponse(
         sequence=seq,
-        objective_value=float(obj),
-        constraint_max_violation=float(viol),
+        objective_value=float(raw_end[winner]),
+        constraint_max_violation=float(viol_end[winner]),
         solver_iters=int(total_iters[winner]),
-        converged=converged,
+        converged=not capped[winner],
     )

@@ -85,9 +85,6 @@ BAND_NOTES = {
         "against a line-of-sight flee the no-detour capture floor for this "
         "geometry is about 6.8; the expected 5.7 presumes an evader that "
         "concedes more ground while dodging"),
-    "fig4_rho1": (
-        "the detour around the head-on nominal disk costs about 1.8 against "
-        "an evader that flees efficiently, pushing capture past the band"),
 }
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, artifacts, summary lines."""
 
+import re
+
 import pytest
 
 from asym_pe import cli
@@ -164,6 +166,8 @@ def test_verify_command_pass_and_fail(monkeypatch, capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS fig2_collision" in out
+    # fig2 holds no heading, and every one of its step games converges.
+    assert re.search(r"fig2_collision: .* holds=0 gs_iters=[1-9]\d* unconverged=0 ", out)
     assert "all preset checks passed" in out
 
     monkeypatch.setattr(cli, "PRESET_EXPECTATIONS", {

@@ -8,15 +8,33 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asym_pe.game import EvaderMode, ScenarioConfig, UncertaintySpec, ValidationError
+from asym_pe.game import (
+    ControlSequence,
+    EvaderMode,
+    ScenarioConfig,
+    UncertaintySpec,
+    ValidationError,
+    initial_state,
+    line_of_sight_heading,
+)
 from asym_pe.scenarios import parse_scenario, serialize_scenario
 from asym_pe.sim import replay_pursuer_decisions, run
 from asym_pe.trace_io import write_trace_csv
+from asym_pe.trajopt import (
+    FEASIBILITY_TOL,
+    HorizonProblem,
+    Player,
+    best_response,
+    constraint_violations,
+    evaluate_objective,
+)
 
 # Derandomized: the same examples on every run, so a failure reproduces.
 FAST = settings(max_examples=60, derandomize=True, deadline=None)
 # Each example plays two short games and a replay; 10 take about 4 s.
 GAMES = settings(max_examples=10, derandomize=True, deadline=None)
+# Each example is one best response; 100 take about 3 s.
+RESPONSES = settings(max_examples=100, derandomize=True, deadline=None)
 
 SCALAR_FIELDS = ("u_c", "v_c", "epsilon", "r_o", "dt", "t_max", "alpha_o",
                  "alpha_d", "relevance_scale", "Q", "N", "seed")
@@ -130,3 +148,23 @@ def test_short_games_replay_exactly_stay_finite_and_hide_rho_true(cfg, moved_rho
     object.__setattr__(blind, "rho_true", (math.nan, math.nan))
     for hidden in (replace(cfg, rho_true=moved_rho), blind):
         assert replay_pursuer_decisions(hidden, states) == heads
+
+
+@RESPONSES
+@given(scenario_configs(), st.sampled_from(Player))
+def test_a_feasible_warm_start_is_never_lost(cfg, player):
+    # The warm start is a candidate of its best response: when it is
+    # feasible with a finite payoff, the response is feasible and no worse.
+    s0 = initial_state(cfg)
+    los = line_of_sight_heading(s0.x_p, s0.x_e)
+    opp = None if player is Player.DECEPTIVE_EVADER else ControlSequence(
+        np.full(cfg.N, los), cfg.v_c if player.pursues else cfg.u_c)
+    prob = HorizonProblem(player, s0, opp, cfg)
+    warm = ControlSequence(np.full(cfg.N, los), prob.my_speed)
+    warm_value = evaluate_objective(prob, warm)
+    assume(constraint_violations(prob, warm).max() <= FEASIBILITY_TOL)
+    assume(math.isfinite(warm_value))
+    resp = best_response(prob, warm)
+    assert resp.constraint_max_violation <= FEASIBILITY_TOL
+    assert constraint_violations(prob, resp.sequence).max() <= FEASIBILITY_TOL
+    assert prob.sign * resp.objective_value <= prob.sign * warm_value

@@ -206,3 +206,15 @@ def test_infeasible_steps_fall_back_and_are_flagged():
     # The run never actually collides with the true (static) obstacle.
     for s in trace.states:
         assert constraint_g(s.x_p, s.x_w_true, cfg.r_o) <= 0.0
+
+
+@pytest.mark.parametrize("name, t_max", [
+    ("fig4_rho1", 0.4), ("fig7_deception_collision", 2.5)])
+def test_a_feasible_warm_start_is_never_held(name, t_max):
+    # At t = 0.2 of fig4_rho1 (the pursuer's internal evader model) and at
+    # t = 2.4 of fig7 (the pursuer), a best response descends to a plan
+    # just past FEASIBILITY_TOL (1.09e-06, 1.02e-06) from a warm start with
+    # violation 0. The warm start is a candidate of the best response, so
+    # neither decision falls back to a hold.
+    trace = run(replace(preset(name), t_max=t_max))
+    assert not any(r.pursuer_infeasible for r in trace.decision_records)
