@@ -144,6 +144,11 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"Q matrix must be {k}x{k} for {self.uncertainty_spec.value}, "
                     f"got shape {mat.shape}")
+            # float() reads a bool as 0 or 1; the scalar branch refuses one.
+            bools = [x for x in np.asarray(q, dtype=object).flat
+                     if isinstance(x, (bool, np.bool_))]
+            if bools:
+                raise ValidationError(f"Q must be a finite number, got {bools[0]!r}")
             if not np.isfinite(mat).all():
                 raise ValidationError(f"Q matrix entries must be finite, got {q!r}")
             if not np.allclose(mat, mat.T):
@@ -279,9 +284,20 @@ class Outcome:
     t_end: float
 
 
-def heading_step(pos: np.ndarray, speed: float, heading: float, dt: float) -> np.ndarray:
-    vel = speed * np.array([math.cos(heading), math.sin(heading)])
-    return pos + vel * dt
+def track(start: np.ndarray, headings, speed: float, dt: float) -> np.ndarray:
+    """Positions after each step from start under (..., N) headings: (..., N, 2).
+
+    The one path from headings to positions, for the world step and every
+    plan. A cumulative sum over [start, step 0, step 1, ...] adds one step
+    at a time, so a batch row is the step-by-step chain bit for bit.
+    """
+    h = np.asarray(headings, dtype=float)
+    steps = np.empty(h.shape[:-1] + (h.shape[-1] + 1, 2))
+    steps[..., 0, :] = start
+    np.multiply(speed, np.cos(h), out=steps[..., 1:, 0])
+    np.multiply(speed, np.sin(h), out=steps[..., 1:, 1])
+    steps[..., 1:, :] *= dt
+    return np.cumsum(steps, axis=-2)[..., 1:, :]
 
 
 def step_state(s: GameState, u_head: float, v_head: float,
@@ -294,8 +310,8 @@ def step_state(s: GameState, u_head: float, v_head: float,
     t_next = s.t + cfg.dt
     return GameState(
         t=t_next,
-        x_p=heading_step(s.x_p, cfg.u_c, u_head, cfg.dt),
-        x_e=heading_step(s.x_e, cfg.v_c, v_head, cfg.dt),
+        x_p=track(s.x_p, [u_head], cfg.u_c, cfg.dt)[0],
+        x_e=track(s.x_e, [v_head], cfg.v_c, cfg.dt)[0],
         x_w_true=cfg.true_obstacle(t_next),
         x_w_nominal=cfg.nominal_obstacle(t_next),
     )

@@ -44,15 +44,14 @@ GAUSS_SEIDEL = GaussSeidelConfig()
 
 @dataclass(frozen=True)
 class StepDecision:
-    """First headings to apply plus solver diagnostics and warm-start data.
+    """A step game's final sequences plus solver diagnostics.
 
-    u_seq/v_seq carry the full final sequences so the next receding-horizon
-    step can warm-start; u_head and u_seq are NaN/None for the deceptive
-    evader, whose solve involves no pursuer sequence.
+    The heading to apply is the first of the deciding player's sequence;
+    u_seq/v_seq also warm-start the next receding-horizon step. u_seq is
+    None for the deceptive evader, whose solve involves no pursuer
+    sequence.
     """
 
-    u_head: float
-    v_head: float
     iters: int
     converged: bool
     residual_u: float
@@ -85,8 +84,6 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
             converged = True
             break
     return StepDecision(
-        u_head=float(u_seq.headings[0]),
-        v_head=float(v_seq.headings[0]),
         iters=iters,
         converged=converged,
         residual_u=residual_u,
@@ -125,8 +122,6 @@ def solve_evader_deceptive(s: GameState, cfg: ScenarioConfig,
         raise ValidationError("deceptive solve requires evader_mode=deceptive")
     resp = best_response(HorizonProblem(Player.DECEPTIVE_EVADER, s, None, cfg), warm)
     return StepDecision(
-        u_head=math.nan,
-        v_head=float(resp.sequence.headings[0]),
         iters=1,
         converged=resp.converged,
         residual_u=math.nan,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .game import EvaderMode, OutcomeKind, ScenarioConfig, UncertaintySpec
+from .game import EvaderMode, OutcomeKind, ScenarioConfig, UncertaintySpec, _as_number
 
 
 class ParseError(ValueError):
@@ -135,8 +135,9 @@ def scenario_from_mapping(mapping: dict) -> ScenarioConfig:
                     f"{prefix} conflicts with its polar form {speed_key}/{head_key}")
             speed, heading = overrides.pop(speed_key), overrides.pop(head_key)
             try:
-                overrides[prefix] = polar_velocity(speed, heading)
-            except (TypeError, ValueError):
+                overrides[prefix] = polar_velocity(
+                    _as_number(speed, speed_key), _as_number(heading, head_key))
+            except ValueError:
                 raise ParseError(f"{speed_key} and {head_key} must be finite numbers, "
                                  f"got {speed!r} and {heading!r}") from None
     merged.update(overrides)

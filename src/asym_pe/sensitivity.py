@@ -39,18 +39,13 @@ class RcsSample:
 def relevance(z):
     """Relevance weight gamma(z): logistic derivative, clamped above zero.
 
-    Monotone increasing on (-inf, 0], constant 0.25 for z > 0. Accepts
-    scalars or arrays; scalar in, float out.
+    Monotone increasing on (-inf, 0], constant 0.25 for z > 0; elementwise
+    over an array of clearances.
     """
-    z_arr = np.asarray(z, dtype=float)
     # e^z/(1+e^z)^2 evaluated with z <= 0 only, so the exponential never
     # overflows; underflow to 0 for very negative z is the correct limit.
-    zneg = np.minimum(z_arr, 0.0)
-    ez = np.exp(zneg)
-    out = ez / (1.0 + ez) ** 2
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return float(out)
-    return out
+    ez = np.exp(np.minimum(z, 0.0))
+    return ez / (1.0 + ez) ** 2
 
 
 def _s_g_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
@@ -62,7 +57,7 @@ def _s_g_rows(d: np.ndarray, t, cfg: ScenarioConfig) -> np.ndarray:
     spec = cfg.uncertainty_spec
     t2 = 2.0 * np.asarray(t, dtype=float)
     if spec is US.BOTH_CARTESIAN:
-        return t2[..., None] * d if np.ndim(t2) else t2 * d
+        return t2[..., None] * d
     if spec is US.RHO1_ONLY:
         return (t2 * d[..., 0])[..., None]
     if spec is US.RHO2_ONLY:

@@ -24,6 +24,7 @@ from .game import (
     initial_state,
     line_of_sight_heading,
     step_state,
+    track,
 )
 from .game_solver import (
     StepDecision,
@@ -32,7 +33,7 @@ from .game_solver import (
     solve_pursuer_game,
 )
 from .sensitivity import rcs_sample
-from .trajopt import NoFeasibleSequence, Player, horizon_times, shift_and_hold, track
+from .trajopt import NoFeasibleSequence, Player, horizon_times, shift_and_hold
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +87,7 @@ def plan_risk(cfg: ScenarioConfig, state: GameState, u_seq: ControlSequence) -> 
     """
     n = len(u_seq)
     return float(np.sum(rcs_sample(
-        track(state.x_p, u_seq.velocities(), cfg.dt),
+        track(state.x_p, u_seq.headings, u_seq.speed, cfg.dt),
         cfg.nominal_obstacle(horizon_times(state.t, n, cfg.dt)),
         horizon_times(0.0, n, cfg.dt), cfg).weighted_norm_sq))
 
@@ -128,7 +129,8 @@ class _Pipeline:
                     else line_of_sight_heading(state.x_p, state.x_e))
         else:
             plan = tuple(seq for seq in (dec.u_seq, dec.v_seq) if seq is not None)
-            head = dec.u_head if self.player.pursues else dec.v_head
+            # The pursuer's sequence comes first; either evader's is last.
+            head = float(plan[0 if self.player.pursues else -1].headings[0])
         self.warm = tuple(shift_and_hold(seq) for seq in plan)
         self.prev_head = head
         return head, dec, plan

@@ -8,9 +8,9 @@ line search, and (for the deceptive evader) seeded multi-start.
 
 _BatchEval is the one evaluator: it scores a batch of candidate heading
 sequences, and the reported payoff and violations of a single sequence
-(evaluate_objective, constraint_violations) are its one-row scoring. Its
-positions reproduce the sequential step_state chain bit for bit; the
-scalar step_state reference it is tested against is in tests/oracles.py.
+(evaluate_objective, constraint_violations) are its one-row scoring. It
+reaches positions through game.track, the path step_state takes too; the
+scalar reference it is tested against is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .game import (
     ScenarioConfig,
     ValidationError,
     constraint_g,
+    track,
 )
 # rcs_sample has no caller here; it stays importable as trajopt.rcs_sample
 # because gamebench/tracing.py wraps that name and stops if it is missing.
@@ -101,28 +102,17 @@ class HorizonProblem:
             if self.opponent_seq.speed != want:
                 raise ValidationError("opponent_seq speed does not match the player")
 
-    @property
-    def my_speed(self) -> float:
-        return self.cfg.u_c if self.player.pursues else self.cfg.v_c
-
-    @property
-    def my_start(self) -> np.ndarray:
-        s = self.start_state
-        return s.x_p if self.player.pursues else s.x_e
-
-    @property
-    def sign(self) -> float:
-        """Multiplier turning the raw payoff into a minimization target."""
-        return 1.0 if self.player.pursues else -1.0
-
-    @property
-    def risk(self) -> bool:
-        """Whether the payoff adds the risk term; at Q = 0 it is exact zeros."""
-        return self.player is Player.PURSUER and not self.cfg.q_is_zero
-
 
 @dataclass(frozen=True)
 class BestResponse:
+    """The winning candidate of best_response, scored by the batch evaluator.
+
+    solver_iters counts the winner's accepted descent steps only: 0 when
+    the warm start wins, and the steps of losing starts are not counted
+    (a traced run's eval_rows sees all the work). converged means the
+    winner's descent was not cut by MAX_DESCENT_ITERS.
+    """
+
     sequence: ControlSequence
     objective_value: float
     constraint_max_violation: float
@@ -135,29 +125,16 @@ def horizon_times(t0: float, n: int, dt: float) -> np.ndarray:
     return np.cumsum(np.r_[t0, np.full(n, dt)])[1:]
 
 
-def track(start: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
-    """Positions after each step from start; velocities are (..., N, 2).
-
-    A cumulative sum over [start, v0*dt, v1*dt, ...] adds one step at a
-    time in step_state's order, so each track equals the step_state chain
-    bit for bit.
-    """
-    steps = np.empty(velocities.shape[:-2] + (velocities.shape[-2] + 1, 2))
-    steps[..., 0, :] = start
-    np.multiply(velocities, dt, out=steps[..., 1:, :])
-    return np.cumsum(steps, axis=-2)[..., 1:, :]
-
-
 class _BatchEval:
     """Vectorized payoff/constraint evaluation over candidate headings.
 
-    Positions are accumulated step by step with the same float operations
-    as step_state, so each row's positions equal the step_state chain's
-    bit for bit. The payoff is the scalar reference's formula (the
-    step_state rollout in tests/oracles.py) but not its arithmetic: norms
-    taken along an axis and the batched pure-pursuit and risk terms can
-    differ from the scalar norms in the last bits. evaluate_objective and
-    constraint_violations are the one-row scoring of a sequence.
+    Positions come from game.track, the path step_state takes, so each
+    row's positions equal the step_state chain's bit for bit. The payoff
+    is the scalar reference's formula (the rollout in tests/oracles.py)
+    but not its arithmetic: norms taken along an axis and the batched
+    pure-pursuit and risk terms can differ from the scalar norms in the
+    last bits. evaluate_objective and constraint_violations are the
+    one-row scoring of a sequence.
     """
 
     def __init__(self, prob: HorizonProblem):
@@ -167,9 +144,13 @@ class _BatchEval:
         self.n = cfg.N
         self.dt = cfg.dt
         self.deceptive = prob.player is Player.DECEPTIVE_EVADER
-        self.risk = prob.risk
-        self.speed = prob.my_speed
-        self.my_start = prob.my_start
+        pursues = prob.player.pursues
+        self.speed = cfg.u_c if pursues else cfg.v_c
+        self.my_start, opp_start = (s0.x_p, s0.x_e) if pursues else (s0.x_e, s0.x_p)
+        # Multiplier turning the raw payoff into a minimization target.
+        self.sign = 1.0 if pursues else -1.0
+        # Only the pursuer's own plan carries risk; at Q = 0 it is exact zeros.
+        self.risk = prob.player is Player.PURSUER and not cfg.q_is_zero
         self.ts = horizon_times(s0.t, self.n, cfg.dt)
         self.rel_ts = horizon_times(0.0, self.n, cfg.dt)
         self.w_nominal = cfg.nominal_obstacle(self.ts)
@@ -177,11 +158,9 @@ class _BatchEval:
         # is allowed to know it; no model of the other side touches rho_true.
         self.w_true = cfg.true_obstacle(self.ts) if prob.player.knows_true_disk else None
         self.w_model = self.w_nominal if self.w_true is None else self.w_true
-        if prob.opponent_seq is not None:
-            opp_start = s0.x_e if prob.player.pursues else s0.x_p
-            self.opp_pos = track(opp_start, prob.opponent_seq.velocities(), cfg.dt)
-        else:
-            self.opp_pos = None
+        opp = prob.opponent_seq
+        self.opp_pos = (None if opp is None
+                        else track(opp_start, opp.headings, opp.speed, cfg.dt))
         self.x_p0 = s0.x_p
         self.x_e0 = s0.x_e
         # Central-difference stencil around a point: row 0 is the point,
@@ -189,11 +168,6 @@ class _BatchEval:
         self.fd_offsets = np.zeros((2 * self.n + 1, self.n))
         self.fd_offsets[1::2] = GRAD_H * np.eye(self.n)
         self.fd_offsets[2::2] = -GRAD_H * np.eye(self.n)
-
-    def positions(self, headings: np.ndarray) -> np.ndarray:
-        """(B, N, 2) rollout of the optimizing player."""
-        vel = self.speed * np.stack([np.cos(headings), np.sin(headings)], axis=-1)
-        return track(self.my_start, vel, self.dt)
 
     def fd_stencil(self, headings: np.ndarray) -> np.ndarray:
         """(B*(2N+1), N): each (B, N) heading row followed by its 2N neighbours."""
@@ -206,7 +180,7 @@ class _BatchEval:
     def __call__(self, headings: np.ndarray):
         """Returns (raw payoff, penalty sum, max violation), each (B,)."""
         cfg = self.cfg
-        pos = self.positions(headings)
+        pos = track(self.my_start, headings, self.speed, self.dt)
         g = self.clearance(pos)
         viol = np.maximum(g, 0.0)
         pen = np.sum(viol * viol, axis=-1)
@@ -242,7 +216,7 @@ def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
 def constraint_violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
     """Per-sample max(0, g) of the optimizing player, shape (N,)."""
     ev = _BatchEval(prob)
-    return np.maximum(ev.clearance(ev.positions(seq.headings[None, :]))[0], 0.0)
+    return np.maximum(ev.clearance(track(ev.my_start, seq.headings, ev.speed, ev.dt)), 0.0)
 
 
 def shift_and_hold(seq: ControlSequence) -> ControlSequence:
@@ -288,10 +262,10 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     n = cfg.N
     if len(init) != n:
         raise ValidationError(f"init length {len(init)} != N={n}")
-    if init.speed != prob.my_speed:
-        raise ValidationError("init speed does not match the optimizing player")
     ev = _BatchEval(prob)
-    sign = prob.sign
+    if init.speed != ev.speed:
+        raise ValidationError("init speed does not match the optimizing player")
+    sign = ev.sign
     ladder = INITIAL_STEP * BACKTRACK_FACTOR ** np.arange(N_BACKTRACKS)
 
     h_cur = _perturbed_starts(init, n_starts, cfg.seed)
@@ -351,7 +325,7 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     winner = min(np.flatnonzero(feasible), key=lambda m: (
         sign * raw_end[m], m == n_starts, tuple(candidates[m])))
     seq = (init if winner == n_starts
-           else ControlSequence(headings=h_cur[winner].copy(), speed=prob.my_speed))
+           else ControlSequence(headings=h_cur[winner].copy(), speed=ev.speed))
 
     return BestResponse(
         sequence=seq,

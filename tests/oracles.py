@@ -1,8 +1,13 @@
 """Independent oracles for the runtime's vectorized paths, used only by tests.
 
+Positions: the runtime turns headings into positions in one place
+(asym_pe.game.track), for the world step and every plan. heading_step
+here moves one player one step with scalar libm cos and sin, and
+scalar_step is step_state built on it.
+
 Horizon payoff: the runtime scores every heading sequence with the batch
 evaluator (asym_pe.trajopt._BatchEval). The scalar reference here rolls
-the game forward one step_state call at a time, runs the deceptive
+the game forward one scalar_step call at a time, runs the deceptive
 evader's pure-pursuit model one step at a time, and scores the risk with
 one rcs_sample call; violations takes each sample's clearance along the
 same chain, and objective_gradient takes central differences of the
@@ -16,6 +21,7 @@ the clearance gradient through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +31,9 @@ from asym_pe.game import (
     GameState,
     ScenarioConfig,
     ValidationError,
-    step_state,
 )
 from asym_pe.sensitivity import rcs_sample
-from asym_pe.trajopt import GRAD_H, HorizonProblem, Player, _BatchEval, horizon_times, track
+from asym_pe.trajopt import GRAD_H, HorizonProblem, Player, _BatchEval, horizon_times
 
 
 class CoincidentPositions(ValueError):
@@ -44,6 +49,25 @@ def pure_pursuit_model(x_p_hat: np.ndarray, x_e: np.ndarray, u_c: float) -> np.n
     return u_c * d / n
 
 
+def heading_step(pos: np.ndarray, speed: float, heading: float, dt: float) -> np.ndarray:
+    """One step at speed along heading, with scalar libm cos and sin."""
+    vel = speed * np.array([math.cos(heading), math.sin(heading)])
+    return pos + vel * dt
+
+
+def scalar_step(s: GameState, u_head: float, v_head: float,
+                cfg: ScenarioConfig) -> GameState:
+    """step_state with the players moved by heading_step."""
+    t_next = s.t + cfg.dt
+    return GameState(
+        t=t_next,
+        x_p=heading_step(s.x_p, cfg.u_c, u_head, cfg.dt),
+        x_e=heading_step(s.x_e, cfg.v_c, v_head, cfg.dt),
+        x_w_true=cfg.true_obstacle(t_next),
+        x_w_nominal=cfg.nominal_obstacle(t_next),
+    )
+
+
 def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
             cfg: ScenarioConfig) -> list[GameState]:
     """N+1 states applying both heading sequences; roles resolved by speed."""
@@ -57,7 +81,7 @@ def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
     states = [start]
     s = start
     for u_head, v_head in zip(u_seq.headings, v_seq.headings):
-        s = step_state(s, float(u_head), float(v_head), cfg)
+        s = scalar_step(s, float(u_head), float(v_head), cfg)
         states.append(s)
     return states
 
@@ -65,15 +89,15 @@ def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
 def _deception_terminals(start: GameState, v_seq: ControlSequence,
                          cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(modeled pursuer, evader, true obstacle) positions at the horizon end."""
-    e_pos = track(start.x_e, v_seq.velocities(), cfg.dt)
     xp = start.x_p
-    e_prev = start.x_e
-    for i in range(len(v_seq)):
-        vel = pure_pursuit_model(xp, e_prev, cfg.u_c)
+    x_e = start.x_e
+    for head in v_seq.headings:
+        # The model pursues the evader's position at the start of the step.
+        vel = pure_pursuit_model(xp, x_e, cfg.u_c)
         xp = xp + vel * cfg.dt
-        e_prev = e_pos[i]
+        x_e = heading_step(x_e, v_seq.speed, float(head), cfg.dt)
     t_end = horizon_times(start.t, len(v_seq), cfg.dt)[-1]
-    return xp, e_pos[-1], cfg.true_obstacle(t_end)
+    return xp, x_e, cfg.true_obstacle(t_end)
 
 
 def objective(prob: HorizonProblem, seq: ControlSequence) -> float:
@@ -85,7 +109,7 @@ def objective(prob: HorizonProblem, seq: ControlSequence) -> float:
                 - cfg.alpha_d * float(np.linalg.norm(xp_hat - w_true)))
     states = rollout(prob.start_state, seq, prob.opponent_seq, cfg)
     value = float(np.linalg.norm(states[-1].x_p - states[-1].x_e))
-    if prob.risk:
+    if prob.player is Player.PURSUER and not cfg.q_is_zero:
         # Sensitivity time restarts at zero at each planning step, so
         # uncertainty acts over the lookahead, not over elapsed game time.
         x_p = np.array([s.x_p for s in states[1:]])

@@ -22,6 +22,7 @@ from asym_pe.game import (
     OutcomeKind,
     constraint_g,
     line_of_sight_heading,
+    track,
 )
 from asym_pe.game import COLLISION_TOL
 from asym_pe.scenarios import PRESET_EXPECTATIONS, preset, time_band
@@ -153,7 +154,7 @@ def test_zero_weight_risk_path_is_identical():
         v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
         ev = _BatchEval(HorizonProblem(Player.PURSUER, rec.state, v, cfg))
         headings = rng.uniform(-7, 7, (16, cfg.N))
-        pos = ev.positions(headings)
+        pos = track(ev.my_start, headings, ev.speed, ev.dt)
         raw = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
         g = constraint_g(pos, ev.w_nominal, cfg.r_o)
         risk_path = raw + np.sum(

@@ -94,9 +94,14 @@ def test_scenario_file_with_a_bad_number_is_an_error(tmp_path, capsys):
     (b"1: 2\nfoo: 3\n", "error: unknown scenario keys: 1, foo"),
     (b"preset: fig2_collision\nrho_true_speed: 0.3\nrho_true_heading_deg: abc\n",
      "error: rho_true_speed and rho_true_heading_deg must be finite numbers"),
+    (b"preset: fig2_collision\nrho_true_speed: true\nrho_true_heading_deg: 0\n",
+     "error: rho_true_speed and rho_true_heading_deg must be finite numbers"),
+    (b"preset: fig2_collision\nrho_true_speed: 0.5\nrho_true_heading_deg: true\n",
+     "error: rho_true_speed and rho_true_heading_deg must be finite numbers"),
 ])
 def test_malformed_scenario_file_is_an_error(tmp_path, capsys, content, message):
-    # Not UTF-8, keys of mixed types, a polar velocity that is not a number:
+    # Not UTF-8, keys of mixed types, a polar velocity that is not a number
+    # (a bool speed or heading included):
     # each ends as an error naming the file or the key, not a traceback.
     path = tmp_path / "bad.yaml"
     path.write_bytes(content)

@@ -16,10 +16,10 @@ from asym_pe.game import (
     ValidationError,
     check_termination,
     constraint_g,
-    heading_step,
     initial_state,
     line_of_sight_heading,
     step_state,
+    track,
 )
 
 
@@ -138,6 +138,18 @@ def test_q_scalar_and_matrix():
                  Q=((1.0, 2.0), (2.0, 1.0)))  # indefinite
 
 
+@pytest.mark.parametrize("q", [[[True]], ((np.True_,),), np.ones((1, 1), dtype=bool)],
+                         ids=["list", "numpy_scalar", "bool_array"])
+def test_q_matrix_refuses_booleans_like_the_scalar(q):
+    # float() reads True as 1.0; a bool Q entry is refused as a bool Q is.
+    with pytest.raises(ValidationError) as scalar:
+        make_cfg(Q=True)
+    with pytest.raises(ValidationError) as matrix:
+        make_cfg(Q=q)
+    assert str(matrix.value).startswith("Q must be a finite number, got ")
+    assert str(scalar.value) == "Q must be a finite number, got True"
+
+
 def test_uncertainty_param_counts():
     assert UncertaintySpec.BOTH_CARTESIAN.n_params == 2
     for spec in (UncertaintySpec.RHO1_ONLY, UncertaintySpec.RHO2_ONLY,
@@ -165,9 +177,12 @@ def test_game_state_shape_validation():
                   x_w_true=np.zeros(2), x_w_nominal=np.zeros(2))
 
 
-def test_heading_step_moves_at_speed():
-    p = heading_step(np.array([1.0, 2.0]), 1.0, math.pi / 2, 0.1)
-    np.testing.assert_allclose(p, [1.0, 2.1], atol=1e-15)
+def test_track_moves_at_speed():
+    p = track(np.array([1.0, 2.0]), [math.pi / 2, 0.0], 1.0, 0.1)
+    assert p.shape == (2, 2)
+    np.testing.assert_allclose(p, [[1.0, 2.1], [1.1, 2.1]], atol=1e-15)
+    # A (B, N) batch of heading rows gives (B, N, 2) positions.
+    assert track(np.zeros(2), np.zeros((3, 4)), 0.6, 0.1).shape == (3, 4, 2)
 
 
 def test_step_state_obstacles_stay_exactly_linear():

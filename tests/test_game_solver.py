@@ -50,8 +50,8 @@ def test_collinear_no_obstacle_converges_immediately():
     assert dec.converged
     assert dec.iters <= 2
     los = line_of_sight_heading(s0.x_p, s0.x_e)
-    assert angle_diff(dec.u_head, los) <= 1e-2
-    assert angle_diff(dec.v_head, los) <= 1e-2  # evader flees along the line
+    assert angle_diff(dec.u_seq.headings[0], los) <= 1e-2
+    assert angle_diff(dec.v_seq.headings[0], los) <= 1e-2  # evader flees along the line
     assert dec.residual_u <= GAUSS_SEIDEL.conv_tol
     assert dec.residual_v <= GAUSS_SEIDEL.conv_tol
 
@@ -64,7 +64,7 @@ def test_fig2_first_heading_near_line_of_sight():
     s0 = initial_state(cfg)
     dec = solve_pursuer_game(s0, cfg, los_warm(cfg, s0))
     los = line_of_sight_heading(s0.x_p, s0.x_e)
-    assert angle_diff(dec.u_head, los) <= 0.15
+    assert angle_diff(dec.u_seq.headings[0], los) <= 0.15
 
 
 def test_evader_original_flees_when_obstacle_far():
@@ -72,7 +72,7 @@ def test_evader_original_flees_when_obstacle_far():
     s0 = initial_state(cfg)
     dec = solve_evader_original(s0, cfg, los_warm(cfg, s0))
     los = line_of_sight_heading(s0.x_p, s0.x_e)
-    assert angle_diff(dec.v_head, los) <= 1e-2
+    assert angle_diff(dec.v_seq.headings[0], los) <= 1e-2
     assert dec.converged
 
 
@@ -87,7 +87,6 @@ def test_pursuer_game_never_reads_true_velocity():
     dec_b = solve_pursuer_game(s0, cfg_b, warm)
     np.testing.assert_array_equal(dec_a.u_seq.headings, dec_b.u_seq.headings)
     np.testing.assert_array_equal(dec_a.v_seq.headings, dec_b.v_seq.headings)
-    assert dec_a.u_head == dec_b.u_head
 
 
 def test_solver_is_deterministic():
@@ -143,11 +142,9 @@ def test_deceptive_decision_shape():
         headings=np.full(cfg.N, line_of_sight_heading(s0.x_p, s0.x_e)),
         speed=cfg.v_c)
     dec = solve_evader_deceptive(s0, cfg, warm)
-    assert math.isnan(dec.u_head)
     assert dec.u_seq is None
     assert len(dec.v_seq) == cfg.N
-    assert math.isfinite(dec.v_head)
-    assert dec.v_head == dec.v_seq.headings[0]
+    assert np.isfinite(dec.v_seq.headings).all()
 
 
 def test_deceptive_requires_deceptive_mode():

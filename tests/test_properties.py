@@ -16,6 +16,8 @@ from asym_pe.game import (
     ValidationError,
     initial_state,
     line_of_sight_heading,
+    step_state,
+    track,
 )
 from asym_pe.scenarios import parse_scenario, serialize_scenario
 from asym_pe.sim import replay_pursuer_decisions, run
@@ -24,10 +26,12 @@ from asym_pe.trajopt import (
     FEASIBILITY_TOL,
     HorizonProblem,
     Player,
+    _BatchEval,
     best_response,
     constraint_violations,
     evaluate_objective,
 )
+import oracles
 
 # Derandomized: the same examples on every run, so a failure reproduces.
 FAST = settings(max_examples=60, derandomize=True, deadline=None)
@@ -160,11 +164,39 @@ def test_a_feasible_warm_start_is_never_lost(cfg, player):
     opp = None if player is Player.DECEPTIVE_EVADER else ControlSequence(
         np.full(cfg.N, los), cfg.v_c if player.pursues else cfg.u_c)
     prob = HorizonProblem(player, s0, opp, cfg)
-    warm = ControlSequence(np.full(cfg.N, los), prob.my_speed)
+    ev = _BatchEval(prob)
+    warm = ControlSequence(np.full(cfg.N, los), ev.speed)
     warm_value = evaluate_objective(prob, warm)
     assume(constraint_violations(prob, warm).max() <= FEASIBILITY_TOL)
     assume(math.isfinite(warm_value))
     resp = best_response(prob, warm)
     assert resp.constraint_max_violation <= FEASIBILITY_TOL
     assert constraint_violations(prob, resp.sequence).max() <= FEASIBILITY_TOL
-    assert prob.sign * resp.objective_value <= prob.sign * warm_value
+    assert ev.sign * resp.objective_value <= ev.sign * warm_value
+
+
+@FAST
+@given(scenario_configs(), st.data())
+def test_track_is_the_scalar_step_chain(cfg, data):
+    # game.track is the one path from headings to positions. For any batch
+    # of heading rows it must add each step exactly as the scalar libm
+    # chain in tests/oracles.py does, and step_state's next positions must
+    # be that chain's first step.
+    b, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    heads = np.array(data.draw(st.lists(
+        _finite(-20.0, 20.0), min_size=b * n, max_size=b * n))).reshape(b, n)
+    s0 = initial_state(cfg)
+    for start, speed in ((s0.x_p, cfg.u_c), (s0.x_e, cfg.v_c)):
+        pos = track(start, heads, speed, cfg.dt)
+        assert pos.shape == (b, n, 2)
+        for row, row_pos in zip(heads, pos):
+            x = start
+            for head, p in zip(row, row_pos):
+                x = oracles.heading_step(x, speed, float(head), cfg.dt)
+                np.testing.assert_array_equal(p, x)
+    u_head, v_head = float(heads[0, 0]), float(heads[-1, -1])
+    s1 = step_state(s0, u_head, v_head, cfg)
+    np.testing.assert_array_equal(
+        s1.x_p, oracles.heading_step(s0.x_p, cfg.u_c, u_head, cfg.dt))
+    np.testing.assert_array_equal(
+        s1.x_e, oracles.heading_step(s0.x_e, cfg.v_c, v_head, cfg.dt))

@@ -218,3 +218,18 @@ def test_a_feasible_warm_start_is_never_held(name, t_max):
     # neither decision falls back to a hold.
     trace = run(replace(preset(name), t_max=t_max))
     assert not any(r.pursuer_infeasible for r in trace.decision_records)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "open defect, the hold steers into the disk: at t = 0 the EVADER best "
+    "response ends with best violation 1.23e-06, a hair past FEASIBILITY_TOL, "
+    "and its line-of-sight warm start has violation 0.559, so the solve is "
+    "infeasible; the hold applies the line of sight (heading 0.0896) into the "
+    "true disk and the game ends in EvaderCollision at t = 0.2, although "
+    "heading pi keeps g <= -0.135 over the horizon"))
+def test_a_hold_does_not_steer_into_the_disk():
+    cfg = replace(preset("fig4_rho1"),
+                  evader_start=(3.007092974820154, 0.2702782177955612),
+                  obstacle_start=(3.7864957676317803, 0.36918966828234634),
+                  t_max=4)
+    assert run(cfg).outcome.kind is not OutcomeKind.EVADER_COLLISION

@@ -13,6 +13,8 @@ from asym_pe.game import (
     ValidationError,
     initial_state,
     line_of_sight_heading,
+    step_state,
+    track,
 )
 from asym_pe import sim, trajopt
 from asym_pe.scenarios import preset
@@ -60,10 +62,11 @@ def constant_heading_oracle(prob: HorizonProblem) -> tuple[float, float]:
     cfg = prob.cfg
     thetas = grid_headings()
     n = cfg.N
-    vel = prob.my_speed * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-    my_term = prob.my_start + n * cfg.dt * vel
-    opp_start = (prob.start_state.x_e if prob.player.pursues
-                 else prob.start_state.x_p)
+    s0 = prob.start_state
+    my_speed, my_start, opp_start = ((cfg.u_c, s0.x_p, s0.x_e) if prob.player.pursues
+                                     else (cfg.v_c, s0.x_e, s0.x_p))
+    vel = my_speed * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    my_term = my_start + n * cfg.dt * vel
     opp_term = opp_start + np.sum(prob.opponent_seq.velocities() * cfg.dt, axis=0)
     dist = np.linalg.norm(my_term - opp_term, axis=-1)
     if prob.player.pursues:
@@ -129,11 +132,10 @@ def test_player_speed_start_sign_disk_and_risk(player, q):
     s0 = initial_state(cfg)
     opp = (None if player is Player.DECEPTIVE_EVADER
            else constant_seq(0.2, cfg.N, cfg.v_c if pursues else cfg.u_c))
-    prob = HorizonProblem(player, s0, opp, cfg)
-    assert prob.my_speed == (cfg.u_c if pursues else cfg.v_c)
-    assert prob.my_start is (s0.x_p if pursues else s0.x_e)
-    assert prob.sign == (1.0 if pursues else -1.0)
-    ev = _BatchEval(prob)
+    ev = _BatchEval(HorizonProblem(player, s0, opp, cfg))
+    assert ev.speed == (cfg.u_c if pursues else cfg.v_c)
+    assert ev.my_start is (s0.x_p if pursues else s0.x_e)
+    assert ev.sign == (1.0 if pursues else -1.0)
     if true_disk:
         assert ev.w_model is ev.w_true
     else:
@@ -141,11 +143,11 @@ def test_player_speed_start_sign_disk_and_risk(player, q):
     headings = np.random.default_rng(3).uniform(-3.0, 3.0, (5, cfg.N))
     raw = ev(headings)[0]
     if player is not Player.DECEPTIVE_EVADER:
-        pos = ev.positions(headings)
+        pos = track(ev.my_start, headings, ev.speed, ev.dt)
         distance = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
         carries_risk = not np.array_equal(raw, distance)
         assert carries_risk == (risk and q != 0.0)
-    assert prob.risk == (risk and q != 0.0)
+    assert ev.risk == (risk and q != 0.0)
 
 
 def test_rollout_matches_step_state_chain():
@@ -156,6 +158,12 @@ def test_rollout_matches_step_state_chain():
     v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
     states = oracles.rollout(s0, u, v, cfg)
     assert len(states) == cfg.N + 1
+    # The scalar chain visits the states of the runtime's step_state chain.
+    s = s0
+    for a, b, state in zip(u.headings, v.headings, states[1:]):
+        s = step_state(s, a, b, cfg)
+        for name in ("t", "x_p", "x_e", "x_w_true", "x_w_nominal"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(s, name))
     # Role resolution by speed: passing the sequences in either order
     # produces the same states.
     swapped = oracles.rollout(s0, v, u, cfg)
@@ -347,7 +355,7 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
     prob = _reported_value_problem(case)
     s0 = prob.start_state
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), prob.cfg.N,
-                        prob.my_speed)
+                        _BatchEval(prob).speed)
     resp = best_response(prob, init)
     raw, _, viol = _BatchEval(prob)(resp.sequence.headings[None, :])
     assert resp.objective_value == raw[0]
@@ -364,19 +372,20 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
 @pytest.mark.parametrize("case", list(REPORTED_VALUE_CASES))
 def test_batch_positions_equal_step_state_chain(case):
     # Every row of a random batch, and the frozen opponent's track, must be
-    # the positions the step_state chain visits, bit for bit.
+    # the positions the scalar step chain in tests/oracles.py visits, bit
+    # for bit.
     prob = _reported_value_problem(case)
     cfg = prob.cfg
     ev = _BatchEval(prob)
     headings = np.random.default_rng(12).uniform(-7.0, 7.0, (6, cfg.N))
-    pos = ev.positions(headings)
+    pos = track(ev.my_start, headings, ev.speed, ev.dt)
     assert pos.shape == (6, cfg.N, 2)
     # The deceptive evader's opponent is a feedback model; any frozen
     # pursuer sequence drives the chain, since only the evader is compared.
     opp = prob.opponent_seq or constant_seq(0.0, cfg.N, cfg.u_c)
     mine, theirs = ("x_p", "x_e") if prob.player.pursues else ("x_e", "x_p")
     for row, row_pos in zip(headings, pos):
-        seq = ControlSequence(headings=row, speed=prob.my_speed)
+        seq = ControlSequence(headings=row, speed=ev.speed)
         states = oracles.rollout(prob.start_state, seq, opp, cfg)[1:]
         np.testing.assert_array_equal(
             row_pos, np.array([getattr(s, mine) for s in states]))
@@ -422,12 +431,13 @@ def test_feasible_warm_start_wins_when_every_descent_ends_infeasible(monkeypatch
 def _solved_alone(prob, starts, monkeypatch, mu_schedule=trajopt.MU_SCHEDULE):
     """Each start's single-start response, or None where it has no feasible plan."""
     out = []
+    speed = _BatchEval(prob).speed
     with monkeypatch.context() as m:
         m.setattr(trajopt, "N_STARTS", 1)
         m.setattr(trajopt, "MU_SCHEDULE", mu_schedule)
         for h in starts:
             try:
-                out.append(best_response(prob, ControlSequence(h, prob.my_speed)))
+                out.append(best_response(prob, ControlSequence(h, speed)))
             except NoFeasibleSequence:
                 out.append(None)
     return out
@@ -473,7 +483,8 @@ def test_a_start_descends_as_if_alone(monkeypatch):
         full = best_response(prob, warm)
         starts = _perturbed_starts(warm, trajopt.N_STARTS, cfg.seed)
         alone = [r for r in _solved_alone(prob, starts, monkeypatch) if r is not None]
-        winner = min(alone, key=lambda r: (prob.sign * r.objective_value,
+        sign = _BatchEval(prob).sign
+        winner = min(alone, key=lambda r: (sign * r.objective_value,
                                            tuple(r.sequence.headings)))
         np.testing.assert_array_equal(full.sequence.headings, winner.sequence.headings,
                                       err_msg=f"t={rec.t}")
@@ -498,7 +509,7 @@ def test_descent_cap_reaches_converged(monkeypatch, name, player, cap, expected)
     opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(los, cfg.N, cfg.v_c)
     prob = HorizonProblem(player, s0, opp, cfg)
     monkeypatch.setattr(trajopt, "MAX_DESCENT_ITERS", cap)
-    resp = best_response(prob, constant_seq(los, cfg.N, prob.my_speed))
+    resp = best_response(prob, constant_seq(los, cfg.N, _BatchEval(prob).speed))
     assert (resp.converged, resp.solver_iters) == expected
 
 
