@@ -17,6 +17,7 @@ from pathlib import Path
 import yaml
 
 from .game import ScenarioConfig, ValidationError, _as_number
+from .game_solver import StepStatus
 from .scenarios import PRESET_EXPECTATIONS, PRESETS, ParseError, load_scenario, time_band
 from .sensitivity import GridSpec
 from .sim import run, run_batch
@@ -100,19 +101,22 @@ def _cmd_presets(_args) -> int:
 
 
 def _decision_summary(trace) -> str:
-    """Held headings, and the Gauss-Seidel solves' iterations and non-convergence.
+    """Held headings, and the Gauss-Seidel solves' iterations and endings.
 
-    The deceptive evader's solve is no Gauss-Seidel game: it has no
-    pursuer sequence and is left out of gs_iters and unconverged.
+    unconverged counts the step games cut by the iteration cap, endgame
+    those decided without iterating. The deceptive evader's solve is no
+    Gauss-Seidel game: it has no pursuer sequence and is left out.
     """
-    holds = gs_iters = unconverged = 0
+    holds = gs_iters = unconverged = endgame = 0
     for rec in trace.decision_records:
         holds += rec.pursuer_infeasible + rec.evader_infeasible
         for dec in (rec.pursuer, rec.evader):
             if dec is not None and dec.u_seq is not None:
                 gs_iters += dec.iters
-                unconverged += not dec.converged
-    return f"holds={holds} gs_iters={gs_iters} unconverged={unconverged}"
+                unconverged += dec.status is StepStatus.CAPPED
+                endgame += dec.status is StepStatus.ENDGAME
+    return (f"holds={holds} gs_iters={gs_iters} unconverged={unconverged} "
+            f"endgame={endgame}")
 
 
 def _cmd_verify(_args) -> int:

@@ -15,16 +15,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .game import ControlSequence, EvaderMode, GameState, ScenarioConfig, ValidationError
+from .game import (
+    ControlSequence,
+    EvaderMode,
+    GameState,
+    ScenarioConfig,
+    ValidationError,
+    line_of_sight_heading,
+)
 from .trajopt import HorizonProblem, Player, best_response
 
 __all__ = [
     "GAUSS_SEIDEL",
     "GaussSeidelConfig",
     "StepDecision",
+    "StepStatus",
     "solve_evader_deceptive",
     "solve_evader_original",
     "solve_pursuer_game",
@@ -42,6 +51,14 @@ class GaussSeidelConfig:
 GAUSS_SEIDEL = GaussSeidelConfig()
 
 
+class StepStatus(Enum):
+    """How a step game ended."""
+
+    CONVERGED = "converged"  # both residuals within conv_tol
+    CAPPED = "capped"  # max_iters sweeps (a descent cap, for the deceptive evader)
+    ENDGAME = "endgame"  # the pursuer can reach the evader: no iteration runs
+
+
 @dataclass(frozen=True)
 class StepDecision:
     """A step game's final sequences plus solver diagnostics.
@@ -53,11 +70,15 @@ class StepDecision:
     """
 
     iters: int
-    converged: bool
+    status: StepStatus
     residual_u: float
     residual_v: float
     u_seq: ControlSequence | None
     v_seq: ControlSequence | None
+
+    @property
+    def converged(self) -> bool:
+        return self.status is StepStatus.CONVERGED
 
 
 def _residual(new: ControlSequence, old: ControlSequence) -> float:
@@ -65,27 +86,82 @@ def _residual(new: ControlSequence, old: ControlSequence) -> float:
     return float(np.linalg.norm(new.velocities() - old.velocities()))
 
 
+def _relaxed(copy: ControlSequence, br: ControlSequence, lam: float) -> ControlSequence:
+    """copy moved the fraction lam of the way to br, each heading the short way round."""
+    h = copy.headings
+    turn = br.headings - h
+    # Less a whole number of turns; a turn within [-pi, pi] is kept bit for bit.
+    turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+    return ControlSequence(headings=h + lam * turn, speed=copy.speed)
+
+
 def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Player],
                   warm: tuple[ControlSequence, ControlSequence]) -> StepDecision:
+    """The step game from the warm plans, decided by the players' distance d.
+
+    Endgame, d <= u_c*T (T = N*dt): the pursuer can reach every point the
+    evader can, so min-max and max-min of the terminal distance differ and
+    no pure equilibrium exists for an iteration to find. The pursuer side
+    best-responds once to an evader fleeing along the line of sight at
+    v_c, and the evader side best-responds to that answer. The fleeing
+    evader is a model of intent, not a plan, and is checked against no
+    disk; each of the two best responses keeps its own player's disk, so
+    a disk between the players is planned around exactly as elsewhere.
+
+    Otherwise, relaxed Gauss-Seidel. In free space and without risk, one
+    plain sweep maps the line-of-sight angle of the plans to -G times
+    itself, G = u_c*T*v_c*T / ((d - u_c*T)(d + v_c*T)), which exceeds 1
+    just outside the endgame. So each best response is solved against a
+    relaxed copy of the other side's plan, moved the fraction
+    lam = 1/(1 + G) of the way to each new best response; a sweep then
+    contracts by G/(1 + G) < 1, and lam is near 1 where G is small. The
+    relaxation changes only the path, not the fixed points, so the same
+    lam serves the pursuer's risky game. Each best response is
+    warm-started from its side's previous one, and the game stops when
+    both successive best responses move by at most conv_tol, or is capped
+    after max_iters sweeps. The decision holds the best responses, never
+    the relaxed copies.
+    """
     pursuer, evader = players
     u_seq, v_seq = warm
+    reach_p = cfg.u_c * cfg.N * cfg.dt
+    reach_e = cfg.v_c * cfg.N * cfg.dt
+    d = float(np.linalg.norm(s.x_e - s.x_p))
+    # At d = u_c*T the gain is infinite: relaxation would not move.
+    if d <= reach_p:
+        flee = ControlSequence(
+            headings=np.full(cfg.N, line_of_sight_heading(s.x_p, s.x_e)), speed=cfg.v_c)
+        u_br = best_response(HorizonProblem(pursuer, s, flee, cfg), u_seq).sequence
+        v_br = best_response(HorizonProblem(evader, s, u_br, cfg), v_seq).sequence
+        return StepDecision(
+            iters=1,
+            status=StepStatus.ENDGAME,
+            residual_u=_residual(u_br, u_seq),
+            residual_v=_residual(v_br, v_seq),
+            u_seq=u_br,
+            v_seq=v_br,
+        )
+    lam = 1.0 / (1.0 + reach_p * reach_e / ((d - reach_p) * (d + reach_e)))
+    u_in, v_in = warm
     residual_u = math.inf
     residual_v = math.inf
-    converged = False
+    status = StepStatus.CAPPED
     iters = 0
     gs = GAUSS_SEIDEL
     for iters in range(1, gs.max_iters + 1):
         u_prev, v_prev = u_seq, v_seq
-        u_seq = best_response(HorizonProblem(pursuer, s, v_seq, cfg), u_seq).sequence
-        v_seq = best_response(HorizonProblem(evader, s, u_seq, cfg), v_seq).sequence
+        u_seq = best_response(HorizonProblem(pursuer, s, v_in, cfg), u_seq).sequence
+        u_in = _relaxed(u_in, u_seq, lam)
+        v_seq = best_response(HorizonProblem(evader, s, u_in, cfg), v_seq).sequence
+        v_in = _relaxed(v_in, v_seq, lam)
         residual_u = _residual(u_seq, u_prev)
         residual_v = _residual(v_seq, v_prev)
         if residual_u <= gs.conv_tol and residual_v <= gs.conv_tol:
-            converged = True
+            status = StepStatus.CONVERGED
             break
     return StepDecision(
         iters=iters,
-        converged=converged,
+        status=status,
         residual_u=residual_u,
         residual_v=residual_v,
         u_seq=u_seq,
@@ -123,7 +199,7 @@ def solve_evader_deceptive(s: GameState, cfg: ScenarioConfig,
     resp = best_response(HorizonProblem(Player.DECEPTIVE_EVADER, s, None, cfg), warm)
     return StepDecision(
         iters=1,
-        converged=resp.converged,
+        status=StepStatus.CONVERGED if resp.converged else StepStatus.CAPPED,
         residual_u=math.nan,
         residual_v=0.0,
         u_seq=None,

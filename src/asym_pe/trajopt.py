@@ -2,9 +2,11 @@
 
 One player optimizes its N-step heading sequence against a frozen opponent
 sequence (or a pure-pursuit opponent model in the deception game), subject
-to obstacle clearance at every horizon sample. Solved by an exterior
-quadratic penalty with finite-difference gradient descent, backtracking
-line search, and (for the deceptive evader) seeded multi-start.
+to obstacle clearance at every horizon sample. A risk-free, non-deceptive
+player whose straight line is feasible takes it: it is the global optimum.
+Otherwise solved by an exterior quadratic penalty with finite-difference
+gradient descent, backtracking line search, and (for the deceptive
+evader) seeded multi-start.
 
 _BatchEval is the one evaluator: it scores a batch of candidate heading
 sequences, and the reported payoff and violations of a single sequence
@@ -108,9 +110,9 @@ class BestResponse:
     """The winning candidate of best_response, scored by the batch evaluator.
 
     solver_iters counts the winner's accepted descent steps only: 0 when
-    the warm start wins, and the steps of losing starts are not counted
-    (a traced run's eval_rows sees all the work). converged means the
-    winner's descent was not cut by MAX_DESCENT_ITERS.
+    the straight line or the warm start wins, and the steps of losing
+    starts are not counted (a traced run's eval_rows sees all the work).
+    converged means the winner's descent was not cut by MAX_DESCENT_ITERS.
     """
 
     sequence: ControlSequence
@@ -237,8 +239,56 @@ def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.nda
     return h
 
 
+def _straight_line(ev: _BatchEval) -> np.ndarray | None:
+    """The global optimum of a free-space problem as headings, where it is unique.
+
+    Without risk or deception the payoff is the distance from the player's
+    terminal point to the opponent's fixed terminal point o, and the
+    terminal points the player can reach fill the disk of radius
+    speed*N*dt around its start. The farthest from o is the end of the
+    straight line away from o; the nearest is the end of the line toward
+    o, when o lies beyond that reach. None for any other problem.
+    """
+    if ev.risk or ev.deceptive:
+        return None
+    gap = ev.opp_pos[-1] - ev.my_start
+    if ev.sign < 0.0:  # an evader flees
+        gap = -gap
+    elif math.hypot(gap[0], gap[1]) <= ev.speed * ev.n * ev.dt:
+        return None
+    return np.full(ev.n, math.atan2(gap[1], gap[0]))
+
+
 def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
-    """Feasible local optimizer of the horizon problem from a warm start.
+    """Optimal or locally optimal feasible plan of the horizon problem.
+
+    A risk-free, non-deceptive player first tries its straight line
+    (_straight_line): when that line is feasible it is the global optimum
+    of the constrained problem too, and it is returned with no descent
+    step. Every other problem descends from the warm start (_descend).
+    """
+    n = prob.cfg.N
+    if len(init) != n:
+        raise ValidationError(f"init length {len(init)} != N={n}")
+    ev = _BatchEval(prob)
+    if init.speed != ev.speed:
+        raise ValidationError("init speed does not match the optimizing player")
+    line = _straight_line(ev)
+    if line is not None:
+        raw, _, viol_max = ev(line[None, :])
+        if viol_max[0] <= FEASIBILITY_TOL and np.isfinite(raw[0]):
+            return BestResponse(
+                sequence=ControlSequence(headings=line, speed=ev.speed),
+                objective_value=float(raw[0]),
+                constraint_max_violation=float(viol_max[0]),
+                solver_iters=0,
+                converged=True,
+            )
+    return _descend(ev, init)
+
+
+def _descend(ev: _BatchEval, init: ControlSequence) -> BestResponse:
+    """Feasible local optimizer of the evaluator's problem from a warm start.
 
     Exterior penalty method: one round per weight mu in MU_SCHEDULE. In a
     round, every start still infeasible gradient-descends the sign-adjusted
@@ -251,20 +301,15 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     lexicographically smaller heading vector wins. NoFeasibleSequence
     means no candidate is feasible, the warm start included.
     """
-    cfg = prob.cfg
+    cfg = ev.cfg
     # Gauss-Seidel best responses run from the warm iterate only, mirroring
     # warm-started per-block local solves: multi-start winners hopping
     # between distant local optima on successive iterations turn the
     # fixed-point iteration into a limit cycle and select equilibria no
     # warm-started local solver would reach. Only the deceptive evader's
     # single solve, outside any iteration, takes seeded starts.
-    n_starts = N_STARTS if prob.player is Player.DECEPTIVE_EVADER else 1
-    n = cfg.N
-    if len(init) != n:
-        raise ValidationError(f"init length {len(init)} != N={n}")
-    ev = _BatchEval(prob)
-    if init.speed != ev.speed:
-        raise ValidationError("init speed does not match the optimizing player")
+    n_starts = N_STARTS if ev.deceptive else 1
+    n = ev.n
     sign = ev.sign
     ladder = INITIAL_STEP * BACKTRACK_FACTOR ** np.arange(N_BACKTRACKS)
 

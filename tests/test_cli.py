@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, artifacts, summary lines."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
 from asym_pe import cli
 from asym_pe.game import OutcomeKind
+from asym_pe.scenarios import preset
 from asym_pe.trace_io import parse_trace_csv
 
 
@@ -172,7 +174,8 @@ def test_verify_command_pass_and_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "PASS fig2_collision" in out
     # fig2 holds no heading, and every one of its step games converges.
-    assert re.search(r"fig2_collision: .* holds=0 gs_iters=[1-9]\d* unconverged=0 ", out)
+    assert re.search(
+        r"fig2_collision: .* holds=0 gs_iters=[1-9]\d* unconverged=0 endgame=0 ", out)
     assert "all preset checks passed" in out
 
     monkeypatch.setattr(cli, "PRESET_EXPECTATIONS", {
@@ -181,3 +184,18 @@ def test_verify_command_pass_and_fail(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL fig2_collision" in captured.out
     assert "1 preset check(s) failed" in captured.err
+
+
+def test_verify_counts_endgame_games_apart_from_capped_ones(monkeypatch, capsys):
+    # The players start 0.8 apart, within the pursuer's reach u_c*N*dt = 1:
+    # each of the two decisions plays both step games as an endgame, which
+    # runs no iteration and is not counted as unconverged.
+    cfg = replace(preset("fig2_collision"), evader_start=(0.8, 0.0),
+                  obstacle_start=(1e6, 1e6), t_max=0.2)
+    monkeypatch.setattr(cli, "PRESETS", {"close": cfg})
+    monkeypatch.setattr(cli, "PRESET_EXPECTATIONS", {
+        "close": ({OutcomeKind.TIMEOUT}, None)})
+    assert cli.main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS close: outcome=Timeout " in out
+    assert " holds=0 gs_iters=4 unconverged=0 endgame=4 " in out

@@ -8,19 +8,25 @@ import pytest
 
 from asym_pe import game_solver
 from asym_pe.game import (
+    COLLISION_TOL,
     ControlSequence,
     ValidationError,
+    constraint_g,
     initial_state,
     line_of_sight_heading,
+    track,
 )
 from asym_pe.game_solver import (
     GAUSS_SEIDEL,
     GaussSeidelConfig,
+    StepStatus,
     solve_evader_deceptive,
     solve_evader_original,
     solve_pursuer_game,
 )
 from asym_pe.scenarios import preset
+from asym_pe.sim import run
+from asym_pe.trajopt import horizon_times
 
 
 def make_cfg(**overrides):
@@ -112,9 +118,71 @@ def test_iteration_cap_respected(monkeypatch):
             ControlSequence(headings=np.full(cfg.N, -0.4), speed=cfg.v_c))
     dec = solve_pursuer_game(s0, cfg, warm)
     assert dec.iters == gs.max_iters
+    assert dec.status is StepStatus.CAPPED
     assert not dec.converged
     assert np.isfinite(dec.residual_u) and np.isfinite(dec.residual_v)
     assert max(dec.residual_u, dec.residual_v) > gs.conv_tol
+
+
+@pytest.mark.parametrize("name", ["fig3_desensitized", "fig4_rho1"])
+def test_outcome_does_not_depend_on_the_iteration_cap(monkeypatch, name):
+    # A cap that binds decides the game by whichever iterate it cuts. Outside
+    # the endgame the relaxed iteration converges well inside the cap, and
+    # the endgame does not iterate, so moving the cap moves nothing.
+    kinds = set()
+    for max_iters in (49, 50, 51):
+        monkeypatch.setattr(game_solver, "GAUSS_SEIDEL",
+                            GaussSeidelConfig(max_iters=max_iters))
+        kinds.add(run(preset(name)).outcome.kind)
+    assert len(kinds) == 1, kinds
+
+
+@pytest.mark.parametrize("d", [1.05, 1.15, 1.25])
+def test_free_space_game_converges_just_outside_the_endgame(d):
+    # Here u_c*T < d < 1.31, so a plain sweep multiplies the line-of-sight
+    # error by -G with G > 1. The relaxed iteration must still reach the
+    # free-space saddle, both plans on the line of sight, from off-line
+    # warm starts.
+    cfg = replace(preset("fig4_rho1"), evader_start=(d, 0.0), **FAR_OBSTACLE)
+    s0 = initial_state(cfg)
+    assert cfg.u_c * cfg.N * cfg.dt < d
+    warm = (ControlSequence(headings=np.full(cfg.N, 0.3), speed=cfg.u_c),
+            ControlSequence(headings=np.full(cfg.N, -0.2), speed=cfg.v_c))
+    los = line_of_sight_heading(s0.x_p, s0.x_e)
+    for solve in (solve_pursuer_game, solve_evader_original):
+        dec = solve(s0, cfg, warm)
+        assert dec.status is StepStatus.CONVERGED, (solve.__name__, dec.iters)
+        assert angle_diff(dec.u_seq.headings[0], los) <= 0.05
+        assert angle_diff(dec.v_seq.headings[0], los) <= 0.05
+
+
+def test_endgame_with_the_disk_between_the_players():
+    # d = 0.9 < u_c*T = 1: no iteration runs. The line of sight crosses a
+    # small disk, so the pursuer cannot answer the fleeing evader with a
+    # straight line; its best response goes round the nominal disk, and
+    # the evader's answers round the true one.
+    cfg = replace(preset("fig4_rho1"), evader_start=(0.9, 0.0),
+                  obstacle_start=(0.45, 0.02), r_o=0.2)
+    s0 = initial_state(cfg)
+    warm = los_warm(cfg, s0)
+    ts = horizon_times(s0.t, cfg.N, cfg.dt)
+    pursuer = solve_pursuer_game(s0, cfg, warm)
+    evader = solve_evader_original(s0, cfg, warm)
+    assert pursuer.status is evader.status is StepStatus.ENDGAME
+    assert not pursuer.converged
+    p_plan = track(s0.x_p, pursuer.u_seq.headings, cfg.u_c, cfg.dt)
+    assert constraint_g(p_plan, cfg.nominal_obstacle(ts), cfg.r_o).max() <= COLLISION_TOL
+    e_plan = track(s0.x_e, evader.v_seq.headings, cfg.v_c, cfg.dt)
+    assert constraint_g(e_plan, cfg.true_obstacle(ts), cfg.r_o).max() <= COLLISION_TOL
+    # The pursuer's endgame, like its iterated game, sees only the nominal disk.
+    blind = replace(cfg)
+    object.__setattr__(blind, "rho_true", (math.nan, math.nan))
+    for hidden in (replace(cfg, rho_true=(0.2, 0.3)), blind):
+        dec = solve_pursuer_game(s0, hidden, warm)
+        np.testing.assert_array_equal(dec.u_seq.headings, pursuer.u_seq.headings)
+        np.testing.assert_array_equal(dec.v_seq.headings, pursuer.v_seq.headings)
+        assert (dec.status, dec.residual_u, dec.residual_v) == (
+            pursuer.status, pursuer.residual_u, pursuer.residual_v)
 
 
 def test_evaders_pursuer_model_is_risk_neutral():

@@ -25,8 +25,11 @@ from asym_pe.trace_io import write_trace_csv
 from asym_pe.trajopt import (
     FEASIBILITY_TOL,
     HorizonProblem,
+    NoFeasibleSequence,
     Player,
     _BatchEval,
+    _descend,
+    _straight_line,
     best_response,
     constraint_violations,
     evaluate_objective,
@@ -39,6 +42,8 @@ FAST = settings(max_examples=60, derandomize=True, deadline=None)
 GAMES = settings(max_examples=10, derandomize=True, deadline=None)
 # Each example is one best response; 100 take about 3 s.
 RESPONSES = settings(max_examples=100, derandomize=True, deadline=None)
+# Each example is up to three descents; 60 take about 3 s.
+DESCENTS = settings(max_examples=60, derandomize=True, deadline=None)
 
 SCALAR_FIELDS = ("u_c", "v_c", "epsilon", "r_o", "dt", "t_max", "alpha_o",
                  "alpha_d", "relevance_scale", "Q", "N", "seed")
@@ -173,6 +178,40 @@ def test_a_feasible_warm_start_is_never_lost(cfg, player):
     assert resp.constraint_max_violation <= FEASIBILITY_TOL
     assert constraint_violations(prob, resp.sequence).max() <= FEASIBILITY_TOL
     assert ev.sign * resp.objective_value <= ev.sign * warm_value
+
+
+FREE_SPACE_PLAYERS = (Player.PURSUER, Player.EVADER_MODEL, Player.PURSUER_MODEL,
+                      Player.EVADER)
+
+
+@DESCENTS
+@given(scenario_configs(), st.sampled_from(FREE_SPACE_PLAYERS), st.data())
+def test_a_feasible_straight_line_is_never_beaten(cfg, player, data):
+    # Without risk or deception, the straight line away from (or toward)
+    # the opponent's terminal point is the global optimum, so where it is
+    # feasible no feasible descent from any start may beat its payoff, and
+    # best_response returns it without a step.
+    cfg = replace(cfg, Q=0.0)
+    s0 = initial_state(cfg)
+    opp_speed = cfg.v_c if player.pursues else cfg.u_c
+    angles = st.lists(_finite(-math.pi, math.pi), min_size=cfg.N, max_size=cfg.N)
+    prob = HorizonProblem(player, s0, ControlSequence(
+        np.array(data.draw(angles)), opp_speed), cfg)
+    ev = _BatchEval(prob)
+    line = _straight_line(ev)
+    assume(line is not None)
+    raw, _, viol = ev(line[None, :])
+    assume(viol[0] <= FEASIBILITY_TOL)
+    for _ in range(3):
+        start = ControlSequence(np.array(data.draw(angles)), ev.speed)
+        try:
+            resp = _descend(ev, start)
+        except NoFeasibleSequence:
+            continue
+        assert ev.sign * resp.objective_value >= ev.sign * raw[0] - 1e-9
+    resp = best_response(prob, start)
+    np.testing.assert_array_equal(resp.sequence.headings, line)
+    assert (resp.objective_value, resp.solver_iters) == (raw[0], 0)
 
 
 @FAST

@@ -467,21 +467,25 @@ def _end_violations_at_ten(prob, starts, monkeypatch):
 
 def test_a_start_descends_as_if_alone(monkeypatch):
     # The multi-start descent runs its starts in lockstep rounds, one per
-    # penalty weight. At these fig7 decisions some starts turn feasible at
-    # mu = 10 while others need mu = 1e2..1e4, so a start shares calls with
-    # batch-mates at other weights and stages. Its descent must still be
-    # the one it takes alone: the 8-start response is, bit for bit, the
-    # tie-rule winner among the starts solved one at a time.
-    cfg = replace(preset("fig7_deception_collision"), t_max=1.3)
+    # penalty weight. At the decisions checked here some starts turn
+    # feasible at mu = 10 while others need mu = 1e2..1e4, so a start
+    # shares calls with batch-mates at other weights and stages. Its
+    # descent must still be the one it takes alone: the 8-start response
+    # is, bit for bit, the tie-rule winner among the starts solved one at
+    # a time. The decisions are the first five of a fig7 run, each
+    # warm-started as the game does, with that mix of starts.
+    cfg = replace(preset("fig7_deception_collision"), t_max=1.6)
     recs = sim.run(cfg).decision_records
-    assert len(recs) == 13
+    assert len(recs) == 16
     mixed = 0
-    # The decisions at t = 0.8 .. 1.2, each warm-started as the game does.
-    for prev, rec in zip(recs[7:], recs[8:]):
+    for prev, rec in zip(recs, recs[1:]):
         warm = shift_and_hold(prev.evader.v_seq)
         prob = HorizonProblem(Player.DECEPTIVE_EVADER, rec.state, None, cfg)
-        full = best_response(prob, warm)
         starts = _perturbed_starts(warm, trajopt.N_STARTS, cfg.seed)
+        at_ten = _end_violations_at_ten(prob, starts, monkeypatch) > FEASIBILITY_TOL
+        if at_ten.all() or not at_ten.any():
+            continue
+        full = best_response(prob, warm)
         alone = [r for r in _solved_alone(prob, starts, monkeypatch) if r is not None]
         sign = _BatchEval(prob).sign
         winner = min(alone, key=lambda r: (sign * r.objective_value,
@@ -489,8 +493,9 @@ def test_a_start_descends_as_if_alone(monkeypatch):
         np.testing.assert_array_equal(full.sequence.headings, winner.sequence.headings,
                                       err_msg=f"t={rec.t}")
         assert full.solver_iters == winner.solver_iters
-        at_ten = _end_violations_at_ten(prob, starts, monkeypatch) > FEASIBILITY_TOL
-        mixed += at_ten.any() and not at_ten.all()
+        mixed += 1
+        if mixed == 5:
+            break
     assert mixed == 5
 
 
