@@ -25,7 +25,7 @@ from .game import (
     GameState,
     ScenarioConfig,
     ValidationError,
-    line_of_sight_heading,
+    track,
 )
 from .trajopt import HorizonProblem, Player, best_response
 
@@ -86,13 +86,9 @@ def _residual(new: ControlSequence, old: ControlSequence) -> float:
     return float(np.linalg.norm(new.velocities() - old.velocities()))
 
 
-def _relaxed(copy: ControlSequence, br: ControlSequence, lam: float) -> ControlSequence:
-    """copy moved the fraction lam of the way to br, each heading the short way round."""
-    h = copy.headings
-    turn = br.headings - h
-    # Less a whole number of turns; a turn within [-pi, pi] is kept bit for bit.
-    turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-    return ControlSequence(headings=h + lam * turn, speed=copy.speed)
+def _end(start: np.ndarray, seq: ControlSequence, dt: float) -> np.ndarray:
+    """The terminal point of a plan from start: all a best response sees of it."""
+    return track(start, seq.headings, seq.speed, dt)[-1]
 
 
 def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Player],
@@ -102,25 +98,28 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
     Endgame, d <= u_c*T (T = N*dt): the pursuer can reach every point the
     evader can, so min-max and max-min of the terminal distance differ and
     no pure equilibrium exists for an iteration to find. The pursuer side
-    best-responds once to an evader fleeing along the line of sight at
-    v_c, and the evader side best-responds to that answer. The fleeing
-    evader is a model of intent, not a plan, and is checked against no
-    disk; each of the two best responses keeps its own player's disk, so
-    a disk between the players is planned around exactly as elsewhere.
+    best-responds once to an evader fleeing along the line of sight, to
+    the point x_e + v_c*T*(x_e - x_p)/d, and the evader side best-responds
+    to the end of that answer. The fleeing evader is a model of intent,
+    not a plan, and is checked against no disk; each of the two best
+    responses keeps its own player's disk, so a disk between the players
+    is planned around exactly as elsewhere.
 
-    Otherwise, relaxed Gauss-Seidel. In free space and without risk, one
-    plain sweep maps the line-of-sight angle of the plans to -G times
-    itself, G = u_c*T*v_c*T / ((d - u_c*T)(d + v_c*T)), which exceeds 1
-    just outside the endgame. So each best response is solved against a
-    relaxed copy of the other side's plan, moved the fraction
-    lam = 1/(1 + G) of the way to each new best response; a sweep then
+    Otherwise, relaxed Gauss-Seidel. A best response sees the other side
+    only through the terminal point of its plan. In free space and
+    without risk, one plain sweep maps the line-of-sight angle between
+    the terminal points to -G times itself,
+    G = u_c*T*v_c*T / ((d - u_c*T)(d + v_c*T)), which exceeds 1 just
+    outside the endgame. So each best response answers a relaxed copy of
+    the other side's terminal point, moved the fraction lam = 1/(1 + G)
+    of the way to the end of each new best response; a sweep then
     contracts by G/(1 + G) < 1, and lam is near 1 where G is small. The
     relaxation changes only the path, not the fixed points, so the same
     lam serves the pursuer's risky game. Each best response is
     warm-started from its side's previous one, and the game stops when
     both successive best responses move by at most conv_tol, or is capped
     after max_iters sweeps. The decision holds the best responses, never
-    the relaxed copies.
+    the relaxed points.
     """
     pursuer, evader = players
     u_seq, v_seq = warm
@@ -129,10 +128,10 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
     d = float(np.linalg.norm(s.x_e - s.x_p))
     # At d = u_c*T the gain is infinite: relaxation would not move.
     if d <= reach_p:
-        flee = ControlSequence(
-            headings=np.full(cfg.N, line_of_sight_heading(s.x_p, s.x_e)), speed=cfg.v_c)
+        flee = s.x_e + (reach_e / d) * (s.x_e - s.x_p)
         u_br = best_response(HorizonProblem(pursuer, s, flee, cfg), u_seq).sequence
-        v_br = best_response(HorizonProblem(evader, s, u_br, cfg), v_seq).sequence
+        v_br = best_response(
+            HorizonProblem(evader, s, _end(s.x_p, u_br, cfg.dt), cfg), v_seq).sequence
         return StepDecision(
             iters=1,
             status=StepStatus.ENDGAME,
@@ -142,7 +141,7 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
             v_seq=v_br,
         )
     lam = 1.0 / (1.0 + reach_p * reach_e / ((d - reach_p) * (d + reach_e)))
-    u_in, v_in = warm
+    u_in, v_in = _end(s.x_p, u_seq, cfg.dt), _end(s.x_e, v_seq, cfg.dt)
     residual_u = math.inf
     residual_v = math.inf
     status = StepStatus.CAPPED
@@ -151,9 +150,10 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
     for iters in range(1, gs.max_iters + 1):
         u_prev, v_prev = u_seq, v_seq
         u_seq = best_response(HorizonProblem(pursuer, s, v_in, cfg), u_seq).sequence
-        u_in = _relaxed(u_in, u_seq, lam)
+        # A new point each time: the problem just solved holds the old one.
+        u_in = u_in + lam * (_end(s.x_p, u_seq, cfg.dt) - u_in)
         v_seq = best_response(HorizonProblem(evader, s, u_in, cfg), v_seq).sequence
-        v_in = _relaxed(v_in, v_seq, lam)
+        v_in = v_in + lam * (_end(s.x_e, v_seq, cfg.dt) - v_in)
         residual_u = _residual(u_seq, u_prev)
         residual_v = _residual(v_seq, v_prev)
         if residual_u <= gs.conv_tol and residual_v <= gs.conv_tol:

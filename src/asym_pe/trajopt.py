@@ -1,12 +1,12 @@
 """Finite-horizon best responses over heading sequences.
 
-One player optimizes its N-step heading sequence against a frozen opponent
-sequence (or a pure-pursuit opponent model in the deception game), subject
-to obstacle clearance at every horizon sample. A risk-free, non-deceptive
-player whose straight line is feasible takes it: it is the global optimum.
-Otherwise solved by an exterior quadratic penalty with finite-difference
-gradient descent, backtracking line search, and (for the deceptive
-evader) seeded multi-start.
+One player optimizes its N-step heading sequence against the terminal
+point of its opponent's plan (or a pure-pursuit opponent model in the
+deception game), subject to obstacle clearance at every horizon sample.
+A risk-free, non-deceptive player whose straight line is feasible takes
+it: it is the global optimum. Otherwise solved by an exterior quadratic
+penalty with finite-difference gradient descent, backtracking line
+search, and (for the deceptive evader) seeded multi-start.
 
 _BatchEval is the one evaluator: it scores a batch of candidate heading
 sequences, and the reported payoff and violations of a single sequence
@@ -67,7 +67,6 @@ class NoFeasibleSequence(RuntimeError):
 # must not register as collisions when executed.
 FEASIBILITY_TOL = COLLISION_TOL
 MU_SCHEDULE = tuple(10.0 ** k for k in range(1, 8))
-N_STARTS = 8
 MAX_DESCENT_ITERS = 60
 INITIAL_STEP = 0.2
 BACKTRACK_FACTOR = 0.5
@@ -77,32 +76,28 @@ GRAD_TOL = 1e-8
 # Perturbation spread for multi-start seeds, radians; last entry covers
 # full heading reversals.
 PERTURB_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, math.pi)
+# The warm start, then one perturbed start per scale.
+N_STARTS = 1 + len(PERTURB_SCALES)
 
 
 @dataclass(frozen=True)
 class HorizonProblem:
     """One player's fixed-opponent horizon optimization.
 
-    opponent_seq is None exactly for the deceptive evader, whose opponent
-    is the pure-pursuit model instead of a frozen sequence.
+    The opponent enters the payoff only through the terminal point of its
+    plan, opponent_end (x, y). It is None exactly for the deceptive evader,
+    whose opponent is the pure-pursuit model instead of a fixed plan.
     """
 
     player: Player
     start_state: GameState
-    opponent_seq: ControlSequence | None
+    opponent_end: np.ndarray | None
     cfg: ScenarioConfig
 
     def __post_init__(self):
-        if (self.opponent_seq is None) != (self.player is Player.DECEPTIVE_EVADER):
+        if (self.opponent_end is None) != (self.player is Player.DECEPTIVE_EVADER):
             raise ValidationError(
-                "opponent_seq must be None exactly for the deceptive evader")
-        if self.opponent_seq is not None:
-            if len(self.opponent_seq) != self.cfg.N:
-                raise ValidationError(
-                    f"opponent_seq length {len(self.opponent_seq)} != N={self.cfg.N}")
-            want = self.cfg.v_c if self.player.pursues else self.cfg.u_c
-            if self.opponent_seq.speed != want:
-                raise ValidationError("opponent_seq speed does not match the player")
+                "opponent_end must be None exactly for the deceptive evader")
 
 
 @dataclass(frozen=True)
@@ -131,12 +126,15 @@ class _BatchEval:
     """Vectorized payoff/constraint evaluation over candidate headings.
 
     Positions come from game.track, the path step_state takes, so each
-    row's positions equal the step_state chain's bit for bit. The payoff
-    is the scalar reference's formula (the rollout in tests/oracles.py)
-    but not its arithmetic: norms taken along an axis and the batched
-    pure-pursuit and risk terms can differ from the scalar norms in the
-    last bits. evaluate_objective and constraint_violations are the
-    one-row scoring of a sequence.
+    row's positions equal the step_state chain's bit for bit. The opponent
+    is the fixed point opp_end, or for the deceptive evader a pure-pursuit
+    model chasing each row's own positions. The penalty sums max(0, g + FEASIBILITY_TOL)^2, so a descent that stops just short
+    of its zero set still ends feasible, max(0, g) <= FEASIBILITY_TOL. The
+    payoff is the scalar reference's formula (tests/oracles.py) but not
+    its arithmetic: norms taken along an axis and the batched pure-pursuit
+    and risk terms can differ from the scalar norms in the last bits.
+    evaluate_objective and constraint_violations are the one-row scoring
+    of a sequence.
     """
 
     def __init__(self, prob: HorizonProblem):
@@ -148,7 +146,7 @@ class _BatchEval:
         self.deceptive = prob.player is Player.DECEPTIVE_EVADER
         pursues = prob.player.pursues
         self.speed = cfg.u_c if pursues else cfg.v_c
-        self.my_start, opp_start = (s0.x_p, s0.x_e) if pursues else (s0.x_e, s0.x_p)
+        self.my_start = s0.x_p if pursues else s0.x_e
         # Multiplier turning the raw payoff into a minimization target.
         self.sign = 1.0 if pursues else -1.0
         # Only the pursuer's own plan carries risk; at Q = 0 it is exact zeros.
@@ -160,11 +158,8 @@ class _BatchEval:
         # is allowed to know it; no model of the other side touches rho_true.
         self.w_true = cfg.true_obstacle(self.ts) if prob.player.knows_true_disk else None
         self.w_model = self.w_nominal if self.w_true is None else self.w_true
-        opp = prob.opponent_seq
-        self.opp_pos = (None if opp is None
-                        else track(opp_start, opp.headings, opp.speed, cfg.dt))
+        self.opp_end = prob.opponent_end
         self.x_p0 = s0.x_p
-        self.x_e0 = s0.x_e
         # Central-difference stencil around a point: row 0 is the point,
         # rows 2j+1 and 2j+2 step heading j by +GRAD_H and -GRAD_H.
         self.fd_offsets = np.zeros((2 * self.n + 1, self.n))
@@ -184,13 +179,13 @@ class _BatchEval:
         cfg = self.cfg
         pos = track(self.my_start, headings, self.speed, self.dt)
         g = self.clearance(pos)
-        viol = np.maximum(g, 0.0)
-        pen = np.sum(viol * viol, axis=-1)
-        viol_max = viol.max(axis=-1)
+        margin = np.maximum(g + FEASIBILITY_TOL, 0.0)
+        pen = np.sum(margin * margin, axis=-1)
+        viol_max = np.maximum(g.max(axis=-1), 0.0)
         if self.deceptive:
             b = pos.shape[0]
             xp = np.broadcast_to(self.x_p0, (b, 2))
-            e_prev = np.broadcast_to(self.x_e0, (b, 2))
+            e_prev = np.broadcast_to(self.my_start, (b, 2))
             with np.errstate(invalid="ignore", divide="ignore"):
                 for i in range(self.n):
                     d = e_prev - xp
@@ -200,7 +195,7 @@ class _BatchEval:
                 raw = (cfg.alpha_o * np.linalg.norm(xp - pos[:, -1], axis=-1)
                        - cfg.alpha_d * np.linalg.norm(xp - self.w_true[-1], axis=-1))
         else:
-            raw = np.linalg.norm(pos[:, -1] - self.opp_pos[-1], axis=-1)
+            raw = np.linalg.norm(pos[:, -1] - self.opp_end, axis=-1)
             if self.risk:
                 # Only the pursuer's own plan carries risk, and it plans with
                 # the nominal disk, so g is already the risk gate's clearance.
@@ -234,8 +229,7 @@ def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.nda
     h[0] = init.headings
     for m in range(1, n_starts):
         rng = np.random.default_rng([seed, m])
-        scale = PERTURB_SCALES[(m - 1) % len(PERTURB_SCALES)]
-        h[m] = init.headings + scale * rng.standard_normal(n)
+        h[m] = init.headings + PERTURB_SCALES[m - 1] * rng.standard_normal(n)
     return h
 
 
@@ -251,7 +245,7 @@ def _straight_line(ev: _BatchEval) -> np.ndarray | None:
     """
     if ev.risk or ev.deceptive:
         return None
-    gap = ev.opp_pos[-1] - ev.my_start
+    gap = ev.opp_end - ev.my_start
     if ev.sign < 0.0:  # an evader flees
         gap = -gap
     elif math.hypot(gap[0], gap[1]) <= ev.speed * ev.n * ev.dt:

@@ -7,7 +7,8 @@ scalar_step is step_state built on it.
 
 Horizon payoff: the runtime scores every heading sequence with the batch
 evaluator (asym_pe.trajopt._BatchEval). The scalar reference here rolls
-the game forward one scalar_step call at a time, runs the deceptive
+the optimizing player forward one scalar_step call at a time, measures
+its terminal distance to the problem's opponent_end, runs the deceptive
 evader's pure-pursuit model one step at a time, and scores the risk with
 one rcs_sample call; violations takes each sample's clearance along the
 same chain, and objective_gradient takes central differences of the
@@ -31,6 +32,7 @@ from asym_pe.game import (
     GameState,
     ScenarioConfig,
     ValidationError,
+    track,
 )
 from asym_pe.sensitivity import rcs_sample
 from asym_pe.trajopt import GRAD_H, HorizonProblem, Player, _BatchEval, horizon_times
@@ -86,6 +88,32 @@ def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
     return states
 
 
+def problem_against(player: Player, start: GameState, opp: ControlSequence | None,
+                    cfg: ScenarioConfig) -> HorizonProblem:
+    """The horizon problem against the opponent plan opp, seen as its end point.
+
+    The point comes from game.track, as the game solver takes it; opp is
+    None for the deceptive evader.
+    """
+    if opp is None:
+        return HorizonProblem(player, start, None, cfg)
+    origin = start.x_e if player.pursues else start.x_p
+    return HorizonProblem(
+        player, start, track(origin, opp.headings, opp.speed, cfg.dt)[-1], cfg)
+
+
+def _own_states(prob: HorizonProblem, seq: ControlSequence) -> list[GameState]:
+    """The N states after start along seq for the optimizing player.
+
+    Only that player's positions are read: the other player runs an
+    arbitrary plan, zero headings at its speed.
+    """
+    cfg = prob.cfg
+    other = ControlSequence(headings=np.zeros(len(seq)),
+                            speed=cfg.v_c if prob.player.pursues else cfg.u_c)
+    return rollout(prob.start_state, seq, other, cfg)[1:]
+
+
 def _deception_terminals(start: GameState, v_seq: ControlSequence,
                          cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(modeled pursuer, evader, true obstacle) positions at the horizon end."""
@@ -107,30 +135,23 @@ def objective(prob: HorizonProblem, seq: ControlSequence) -> float:
         xp_hat, x_e_term, w_true = _deception_terminals(prob.start_state, seq, cfg)
         return (cfg.alpha_o * float(np.linalg.norm(xp_hat - x_e_term))
                 - cfg.alpha_d * float(np.linalg.norm(xp_hat - w_true)))
-    states = rollout(prob.start_state, seq, prob.opponent_seq, cfg)
-    value = float(np.linalg.norm(states[-1].x_p - states[-1].x_e))
+    states = _own_states(prob, seq)
+    mine = states[-1].x_p if prob.player.pursues else states[-1].x_e
+    value = float(np.linalg.norm(mine - prob.opponent_end))
     if prob.player is Player.PURSUER and not cfg.q_is_zero:
         # Sensitivity time restarts at zero at each planning step, so
         # uncertainty acts over the lookahead, not over elapsed game time.
-        x_p = np.array([s.x_p for s in states[1:]])
-        x_w = np.array([s.x_w_nominal for s in states[1:]])
+        x_p = np.array([s.x_p for s in states])
+        x_w = np.array([s.x_w_nominal for s in states])
         rel_ts = horizon_times(0.0, len(seq), cfg.dt)
         value += float(np.sum(rcs_sample(x_p, x_w, rel_ts, cfg).weighted_norm_sq))
     return value
 
 
 def violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
-    """Scalar reference for the per-sample max(0, g) of the optimizing player.
-
-    The deceptive evader's opponent is a feedback model; a frozen pursuer
-    sequence drives the chain instead, since only the evader's own
-    positions enter its clearance.
-    """
+    """Scalar reference for the per-sample max(0, g) of the optimizing player."""
     cfg = prob.cfg
-    opp = prob.opponent_seq
-    if opp is None:
-        opp = ControlSequence(headings=np.zeros(cfg.N), speed=cfg.u_c)
-    states = rollout(prob.start_state, seq, opp, cfg)[1:]
+    states = _own_states(prob, seq)
     out = np.empty(len(states))
     for i, s in enumerate(states):
         x = s.x_p if prob.player.pursues else s.x_e

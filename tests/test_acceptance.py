@@ -151,11 +151,12 @@ def test_zero_weight_risk_path_is_identical():
     rng = np.random.default_rng(31)
     rows = mismatches = 0
     for rec in trace.decision_records:
-        v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
-        ev = _BatchEval(HorizonProblem(Player.PURSUER, rec.state, v, cfg))
+        v = rng.uniform(-3, 3, cfg.N)
+        v_end = track(rec.state.x_e, v, cfg.v_c, cfg.dt)[-1]
+        ev = _BatchEval(HorizonProblem(Player.PURSUER, rec.state, v_end, cfg))
         headings = rng.uniform(-7, 7, (16, cfg.N))
         pos = track(ev.my_start, headings, ev.speed, ev.dt)
-        raw = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
+        raw = np.linalg.norm(pos[:, -1] - v_end, axis=-1)
         g = constraint_g(pos, ev.w_nominal, cfg.r_o)
         risk_path = raw + np.sum(
             weighted_terms(pos - ev.w_nominal, g, ev.rel_ts, cfg), axis=-1)
@@ -212,15 +213,15 @@ def test_best_response_vs_heading_grid():
         opp = ControlSequence(
             headings=np.full(base.N, rng.uniform(-math.pi, math.pi)),
             speed=opp_speed)
+        my_start = p if pursues else e
+        opp_start = e if pursues else p
+        opp_term = opp_start + np.sum(opp.velocities() * base.dt, axis=0)
         player = Player.PURSUER if pursues else Player.EVADER_MODEL
-        prob = HorizonProblem(player, state, opp, base)
+        prob = HorizonProblem(player, state, opp_term, base)
         los = line_of_sight_heading(p, e)
         init = ControlSequence(headings=np.full(base.N, los), speed=my_speed)
         resp = best_response(prob, init)
-        my_start = p if pursues else e
-        opp_start = e if pursues else p
         my_term = my_start + base.N * base.dt * my_speed * unit
-        opp_term = opp_start + np.sum(opp.velocities() * base.dt, axis=0)
         dist = np.linalg.norm(my_term - opp_term, axis=-1)
         grid_val = float(dist.min() if pursues else dist.max())
         worst = max(worst, abs(resp.objective_value - grid_val))

@@ -1,8 +1,10 @@
-"""The traced benchmark's hooks still fit the program.
+"""The benchmark still fits the program.
 
 gamebench/tracing.py wraps names the program looks up between layers and
 stops with MissingHook when one is gone; this catches a refactor that drops
-or binds away such a name before the benchmark does.
+or binds away such a name before the benchmark does. The benchmark's
+checks also refuse some games the program may legitimately play; a canary
+here names the check before a benchmark run is refused for it.
 """
 
 import importlib.util
@@ -11,20 +13,22 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from asym_pe import game_solver, sim, trace_io, trajopt
-from asym_pe.scenarios import preset
+from asym_pe.game_solver import StepStatus
+from asym_pe.scenarios import parse_scenario, preset
 
-TRACING = Path(__file__).resolve().parents[1] / "gamebench" / "tracing.py"
+GAMEBENCH = Path(__file__).resolve().parents[1] / "gamebench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("gamebench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"gamebench_{name}", GAMEBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_on_the_program_and_restores_it():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     owners = (sim, game_solver, trajopt, trace_io, trajopt._BatchEval)
     before = [dict(vars(owner)) for owner in owners]
     tracer = tracing.Tracer()
@@ -56,3 +60,20 @@ def test_tracer_installs_on_the_program_and_restores_it():
         restored = vars(owner)
         assert restored.keys() == names.keys()
         assert all(restored[k] is v for k, v in names.items())
+
+
+def test_the_stalemate_workload_makes_no_endgame_decision():
+    # gamebench/checks.py::check_converged refuses a decision that is not
+    # converged unless it used every Gauss-Seidel iteration, so it refuses
+    # the one-iteration endgame decisions (d <= u_c*T). The seed-0
+    # stalemate game makes none, but its closest decision sits only about
+    # 0.06 above u_c*T: a trajectory change can cross it.
+    workloads = _load("workloads")
+    [(label, mapping)] = workloads.games("stalemate", 0)
+    trace = sim.run(parse_scenario(workloads.document(mapping)))
+    endgame = [(r.t, who) for r in trace.decision_records
+               for who, dec in (("pursuer", r.pursuer), ("evader", r.evader))
+               if dec is not None and dec.status is StepStatus.ENDGAME]
+    assert not endgame, (
+        f"{label}: endgame decisions at {endgame}; "
+        "gamebench/checks.py::check_converged rejects them")

@@ -24,7 +24,6 @@ from asym_pe.sim import replay_pursuer_decisions, run
 from asym_pe.trace_io import write_trace_csv
 from asym_pe.trajopt import (
     FEASIBILITY_TOL,
-    HorizonProblem,
     NoFeasibleSequence,
     Player,
     _BatchEval,
@@ -168,7 +167,7 @@ def test_a_feasible_warm_start_is_never_lost(cfg, player):
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     opp = None if player is Player.DECEPTIVE_EVADER else ControlSequence(
         np.full(cfg.N, los), cfg.v_c if player.pursues else cfg.u_c)
-    prob = HorizonProblem(player, s0, opp, cfg)
+    prob = oracles.problem_against(player, s0, opp, cfg)
     ev = _BatchEval(prob)
     warm = ControlSequence(np.full(cfg.N, los), ev.speed)
     warm_value = evaluate_objective(prob, warm)
@@ -195,7 +194,7 @@ def test_a_feasible_straight_line_is_never_beaten(cfg, player, data):
     s0 = initial_state(cfg)
     opp_speed = cfg.v_c if player.pursues else cfg.u_c
     angles = st.lists(_finite(-math.pi, math.pi), min_size=cfg.N, max_size=cfg.N)
-    prob = HorizonProblem(player, s0, ControlSequence(
+    prob = oracles.problem_against(player, s0, ControlSequence(
         np.array(data.draw(angles)), opp_speed), cfg)
     ev = _BatchEval(prob)
     line = _straight_line(ev)

@@ -212,24 +212,38 @@ def test_infeasible_steps_fall_back_and_are_flagged():
     ("fig4_rho1", 0.4), ("fig7_deception_collision", 2.5)])
 def test_a_feasible_warm_start_is_never_held(name, t_max):
     # At t = 0.2 of fig4_rho1 (the pursuer's internal evader model) and at
-    # t = 2.4 of fig7 (the pursuer), a best response descends to a plan
-    # just past FEASIBILITY_TOL (1.09e-06, 1.02e-06) from a warm start with
-    # violation 0. The warm start is a candidate of the best response, so
-    # neither decision falls back to a hold.
+    # t = 2.4 of fig7 (the pursuer), a best response starts from a warm
+    # start with violation 0. Before the penalty kept a FEASIBILITY_TOL
+    # margin, its descent ended just past the tolerance there. The warm
+    # start is a candidate of the best response either way, so neither
+    # decision falls back to a hold.
     trace = run(replace(preset(name), t_max=t_max))
     assert not any(r.pursuer_infeasible for r in trace.decision_records)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "open defect, the hold steers into the disk: at t = 0 the EVADER best "
-    "response ends with best violation 1.23e-06, a hair past FEASIBILITY_TOL, "
-    "and its line-of-sight warm start has violation 0.559, so the solve is "
-    "infeasible; the hold applies the line of sight (heading 0.0896) into the "
-    "true disk and the game ends in EvaderCollision at t = 0.2, although "
-    "heading pi keeps g <= -0.135 over the horizon"))
 def test_a_hold_does_not_steer_into_the_disk():
+    # At t = 0 the EVADER's line-of-sight warm start has violation 0.559,
+    # and a descent whose penalty had no margin ended at 1.23e-06, a hair
+    # past FEASIBILITY_TOL. The solve then found no feasible plan, and the
+    # hold applied the line of sight (heading 0.0896) into the true disk:
+    # EvaderCollision at t = 0.2, although heading pi keeps g <= -0.135
+    # over the horizon.
     cfg = replace(preset("fig4_rho1"),
                   evader_start=(3.007092974820154, 0.2702782177955612),
                   obstacle_start=(3.7864957676317803, 0.36918966828234634),
                   t_max=4)
     assert run(cfg).outcome.kind is not OutcomeKind.EVADER_COLLISION
+
+
+@pytest.mark.parametrize("name, seed, t_max", [
+    ("fig7_deception_collision", 5, 2.3),
+    ("fig8_desensitized_vs_deception", 7, 2.0),
+    ("fig8_desensitized_vs_deception", 8, 1.8),
+])
+def test_a_lure_game_does_not_hold(name, seed, t_max):
+    # Without a margin in the penalty, a PURSUER descent here ended a hair
+    # past FEASIBILITY_TOL and the pursuer held its heading once, at
+    # t = 2.2, 1.9 and 1.7.
+    trace = run(replace(preset(name), seed=seed, t_max=t_max))
+    assert not any(r.pursuer_infeasible or r.evader_infeasible
+                   for r in trace.decision_records)

@@ -8,7 +8,6 @@ import pytest
 
 from asym_pe.game import (
     ControlSequence,
-    GameState,
     UncertaintySpec,
     ValidationError,
     initial_state,
@@ -55,20 +54,19 @@ def constant_heading_oracle(prob: HorizonProblem) -> tuple[float, float]:
     """Exhaustive constant-heading search, independent closed-form rollout.
 
     Constant headings make the player's position at sample i exactly
-    start + i*dt*velocity; the opponent's terminal position comes from the
-    frozen sequence. Returns (best objective, best heading) in the
+    start + i*dt*velocity; the opponent's terminal position is the
+    problem's fixed point. Returns (best objective, best heading) in the
     problem's own min/max sense.
     """
     cfg = prob.cfg
     thetas = grid_headings()
     n = cfg.N
     s0 = prob.start_state
-    my_speed, my_start, opp_start = ((cfg.u_c, s0.x_p, s0.x_e) if prob.player.pursues
-                                     else (cfg.v_c, s0.x_e, s0.x_p))
+    my_speed, my_start = ((cfg.u_c, s0.x_p) if prob.player.pursues
+                          else (cfg.v_c, s0.x_e))
     vel = my_speed * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
     my_term = my_start + n * cfg.dt * vel
-    opp_term = opp_start + np.sum(prob.opponent_seq.velocities() * cfg.dt, axis=0)
-    dist = np.linalg.norm(my_term - opp_term, axis=-1)
+    dist = np.linalg.norm(my_term - prob.opponent_end, axis=-1)
     if prob.player.pursues:
         k = int(np.argmin(dist))
     else:
@@ -95,23 +93,13 @@ def test_pure_pursuit_model():
 def test_problem_validation():
     cfg = make_cfg()
     s0 = initial_state(cfg)
-    v_seq = constant_seq(0.0, cfg.N, cfg.v_c)
-    u_seq = constant_seq(0.0, cfg.N, cfg.u_c)
-    with pytest.raises(ValidationError):
-        # Opponent sequence at the wrong speed for the player.
-        HorizonProblem(Player.PURSUER, s0, u_seq, cfg)
-    with pytest.raises(ValidationError):
-        HorizonProblem(Player.EVADER, s0, v_seq, cfg)
-    with pytest.raises(ValidationError):
-        HorizonProblem(Player.PURSUER_MODEL, s0,
-                       constant_seq(0.0, cfg.N + 1, cfg.v_c), cfg)
-    # A frozen opponent sequence exactly when the opponent is not the
+    # A fixed opponent terminal point exactly when the opponent is not the
     # deceptive evader's pure-pursuit model.
     for player in set(Player) - {Player.DECEPTIVE_EVADER}:
         with pytest.raises(ValidationError):
             HorizonProblem(player, s0, None, cfg)
     with pytest.raises(ValidationError):
-        HorizonProblem(Player.DECEPTIVE_EVADER, s0, u_seq, cfg)
+        HorizonProblem(Player.DECEPTIVE_EVADER, s0, s0.x_p, cfg)
 
 
 # player: (plans the pursuer's path, against the true disk, risk when Q != 0)
@@ -132,7 +120,7 @@ def test_player_speed_start_sign_disk_and_risk(player, q):
     s0 = initial_state(cfg)
     opp = (None if player is Player.DECEPTIVE_EVADER
            else constant_seq(0.2, cfg.N, cfg.v_c if pursues else cfg.u_c))
-    ev = _BatchEval(HorizonProblem(player, s0, opp, cfg))
+    ev = _BatchEval(oracles.problem_against(player, s0, opp, cfg))
     assert ev.speed == (cfg.u_c if pursues else cfg.v_c)
     assert ev.my_start is (s0.x_p if pursues else s0.x_e)
     assert ev.sign == (1.0 if pursues else -1.0)
@@ -144,7 +132,7 @@ def test_player_speed_start_sign_disk_and_risk(player, q):
     raw = ev(headings)[0]
     if player is not Player.DECEPTIVE_EVADER:
         pos = track(ev.my_start, headings, ev.speed, ev.dt)
-        distance = np.linalg.norm(pos[:, -1] - ev.opp_pos[-1], axis=-1)
+        distance = np.linalg.norm(pos[:, -1] - ev.opp_end, axis=-1)
         carries_risk = not np.array_equal(raw, distance)
         assert carries_risk == (risk and q != 0.0)
     assert ev.risk == (risk and q != 0.0)
@@ -184,7 +172,7 @@ def test_gradient_matches_sequential_finite_differences():
     for seed in (4, 7, 14, 22, 45, 60):
         rng = np.random.default_rng(seed)
         v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
-        prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
+        prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
         u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
         grad = oracles.objective_gradient(prob, u)
         ev = _BatchEval(prob)
@@ -211,7 +199,7 @@ def test_q_zero_collapses_to_plain_objective():
     s0 = initial_state(cfg)
     v = constant_seq(0.3, cfg.N, cfg.v_c)
     u = constant_seq(-0.2, cfg.N, cfg.u_c)
-    probs = [HorizonProblem(player, s0, v, cfg)
+    probs = [oracles.problem_against(player, s0, v, cfg)
              for player in (Player.PURSUER_MODEL, Player.PURSUER)]
     assert evaluate_objective(probs[0], u) == evaluate_objective(probs[1], u)
     resp0 = best_response(probs[0], u)
@@ -224,10 +212,10 @@ def test_only_the_deceptive_evader_reads_the_seed():
     # Gauss-Seidel players are single-start: the seed feeds only the
     # perturbed extra starts, so their responses are bitwise seed-free.
     # The deceptive evader's eight seeded starts do reach its response.
-    def responses(cfg, player, opponent_seq, init):
+    def responses(cfg, player, opp, init):
         s0 = initial_state(cfg)
-        return [best_response(HorizonProblem(player, s0, opponent_seq,
-                                             replace(cfg, seed=seed)), init)
+        return [best_response(oracles.problem_against(player, s0, opp,
+                                                      replace(cfg, seed=seed)), init)
                 for seed in (0, 7)]
 
     cfg = preset("fig3_desensitized")
@@ -256,7 +244,7 @@ def test_pursuer_best_response_matches_grid_oracle():
     cfg = make_cfg(N=5, dt=0.2, **FAR_OBSTACLE)
     s0 = initial_state(cfg)
     v = constant_seq(math.pi / 4, cfg.N, cfg.v_c)
-    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
+    prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
     resp = best_response(prob, init)
     oracle_val, _ = constant_heading_oracle(prob)
@@ -270,7 +258,7 @@ def test_evader_flee_is_local_optimum():
     s0 = initial_state(cfg)
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     u = constant_seq(los, cfg.N, cfg.u_c)  # pursuer heads straight at evader
-    prob = HorizonProblem(Player.EVADER, s0, u, cfg)
+    prob = oracles.problem_against(Player.EVADER, s0, u, cfg)
     flee = constant_seq(los, cfg.N, cfg.v_c)  # continue along the line of sight
     resp = best_response(prob, flee)
     flee_val = evaluate_objective(prob, flee)
@@ -301,7 +289,7 @@ def test_returned_plans_are_feasible_near_obstacle():
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
     v = constant_seq(0.0, cfg.N, cfg.v_c)
-    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
+    prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
     resp = best_response(prob, init)
     viol = constraint_violations(prob, resp.sequence)
@@ -314,7 +302,7 @@ def test_feasible_init_never_gets_worse():
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
     v = constant_seq(0.0, cfg.N, cfg.v_c)
-    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
+    prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     rng = np.random.default_rng(8)
     for _ in range(5):
         init = ControlSequence(headings=rng.uniform(-math.pi, math.pi, cfg.N),
@@ -339,11 +327,10 @@ def _reported_value_problem(case: str) -> HorizonProblem:
     name, player = REPORTED_VALUE_CASES[case]
     cfg = preset(name)
     s0 = initial_state(cfg)
-    if player is Player.DECEPTIVE_EVADER:
-        return HorizonProblem(player, s0, None, cfg)
-    opp = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N,
-                       cfg.v_c if player.pursues else cfg.u_c)
-    return HorizonProblem(player, s0, opp, cfg)
+    opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(
+        line_of_sight_heading(s0.x_p, s0.x_e), cfg.N,
+        cfg.v_c if player.pursues else cfg.u_c)
+    return oracles.problem_against(player, s0, opp, cfg)
 
 
 @pytest.mark.parametrize("case", list(REPORTED_VALUE_CASES))
@@ -371,27 +358,23 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
 
 @pytest.mark.parametrize("case", list(REPORTED_VALUE_CASES))
 def test_batch_positions_equal_step_state_chain(case):
-    # Every row of a random batch, and the frozen opponent's track, must be
-    # the positions the scalar step chain in tests/oracles.py visits, bit
-    # for bit.
+    # Every row of a random batch must be the positions the scalar step
+    # chain in tests/oracles.py visits, bit for bit.
     prob = _reported_value_problem(case)
     cfg = prob.cfg
     ev = _BatchEval(prob)
     headings = np.random.default_rng(12).uniform(-7.0, 7.0, (6, cfg.N))
     pos = track(ev.my_start, headings, ev.speed, ev.dt)
     assert pos.shape == (6, cfg.N, 2)
-    # The deceptive evader's opponent is a feedback model; any frozen
-    # pursuer sequence drives the chain, since only the evader is compared.
-    opp = prob.opponent_seq or constant_seq(0.0, cfg.N, cfg.u_c)
-    mine, theirs = ("x_p", "x_e") if prob.player.pursues else ("x_e", "x_p")
+    # Only the optimizing player is compared, so any opponent plan drives
+    # the chain.
+    opp = constant_seq(0.0, cfg.N, cfg.v_c if prob.player.pursues else cfg.u_c)
+    mine = "x_p" if prob.player.pursues else "x_e"
     for row, row_pos in zip(headings, pos):
         seq = ControlSequence(headings=row, speed=ev.speed)
         states = oracles.rollout(prob.start_state, seq, opp, cfg)[1:]
         np.testing.assert_array_equal(
             row_pos, np.array([getattr(s, mine) for s in states]))
-        if prob.opponent_seq is not None:
-            np.testing.assert_array_equal(
-                ev.opp_pos, np.array([getattr(s, theirs) for s in states]))
 
 
 def test_no_feasible_sequence_raises():
@@ -403,7 +386,7 @@ def test_no_feasible_sequence_raises():
         uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN, N=3, Q=0.0)
     s0 = initial_state(cfg)
     v = constant_seq(math.pi, cfg.N, cfg.v_c)
-    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
+    prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     init = constant_seq(math.pi, cfg.N, cfg.u_c)
     with pytest.raises(NoFeasibleSequence):
         best_response(prob, init)
@@ -417,7 +400,8 @@ def test_feasible_warm_start_wins_when_every_descent_ends_infeasible(monkeypatch
     cfg = make_cfg(obstacle_start=(0.5, 0.0), r_o=0.3, rho_nominal=(0.0, 0.0),
                    rho_true=(0.0, 0.0))
     s0 = initial_state(cfg)
-    prob = HorizonProblem(Player.PURSUER, s0, constant_seq(0.0, cfg.N, cfg.v_c), cfg)
+    prob = oracles.problem_against(
+        Player.PURSUER, s0, constant_seq(0.0, cfg.N, cfg.v_c), cfg)
     init = constant_seq(math.pi / 2, cfg.N, cfg.u_c)
     assert constraint_violations(prob, init).max() == 0.0
     monkeypatch.setattr(trajopt, "MU_SCHEDULE", (10.0,))
@@ -512,7 +496,7 @@ def test_descent_cap_reaches_converged(monkeypatch, name, player, cap, expected)
     s0 = initial_state(cfg)
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(los, cfg.N, cfg.v_c)
-    prob = HorizonProblem(player, s0, opp, cfg)
+    prob = oracles.problem_against(player, s0, opp, cfg)
     monkeypatch.setattr(trajopt, "MAX_DESCENT_ITERS", cap)
     resp = best_response(prob, constant_seq(los, cfg.N, _BatchEval(prob).speed))
     assert (resp.converged, resp.solver_iters) == expected
@@ -522,7 +506,7 @@ def test_best_response_input_validation():
     cfg = make_cfg()
     s0 = initial_state(cfg)
     v = constant_seq(0.0, cfg.N, cfg.v_c)
-    prob = HorizonProblem(Player.PURSUER, s0, v, cfg)
+    prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     with pytest.raises(ValidationError):
         best_response(prob, constant_seq(0.0, cfg.N - 1, cfg.u_c))
     with pytest.raises(ValidationError):
