@@ -10,7 +10,7 @@ pursuer's planning).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -257,25 +257,18 @@ def initial_state(cfg: ScenarioConfig) -> GameState:
 
 @dataclass(frozen=True)
 class ControlSequence:
-    """Heading sequence for one player over a planning horizon."""
+    """One player's headings over a planning horizon; the player fixes the speed."""
 
     headings: np.ndarray
-    speed: float
 
     def __post_init__(self):
         arr = np.asarray(self.headings, dtype=float)
         if arr.ndim != 1:
             raise ValidationError("headings must be a 1-D sequence")
         object.__setattr__(self, "headings", arr)
-        object.__setattr__(self, "speed", float(self.speed))
 
     def __len__(self) -> int:
         return len(self.headings)
-
-    def velocities(self) -> np.ndarray:
-        """Implied velocity vectors, shape (N, 2); each has norm == speed."""
-        return self.speed * np.stack(
-            [np.cos(self.headings), np.sin(self.headings)], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Per-step strategy computation for both players.
 
 The pursuer and the non-deceptive evader each solve a two-player horizon
-game by alternating best responses (Gauss-Seidel) until both heading
-sequences stop changing. The deceptive evader solves a single-player
+game by alternating best responses (Gauss-Seidel) to an equilibrium of
+their terminal points. The deceptive evader solves a single-player
 problem instead, replacing the pursuer with a pure-pursuit feedback model.
 
 Information asymmetry is fixed by the pair of players each game names
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussSeidelConfig:
-    """The step game's stopping rule: both residuals within conv_tol, or max_iters."""
+    """The step game's stopping rule: both gaps within conv_tol (a length), or max_iters."""
 
     conv_tol: float = 5e-3
     max_iters: int = 50
@@ -54,7 +54,7 @@ GAUSS_SEIDEL = GaussSeidelConfig()
 class StepStatus(Enum):
     """How a step game ended."""
 
-    CONVERGED = "converged"  # both residuals within conv_tol
+    CONVERGED = "converged"  # both gaps ||end(br) - x|| within conv_tol
     CAPPED = "capped"  # max_iters sweeps (a descent cap, for the deceptive evader)
     ENDGAME = "endgame"  # the pursuer can reach the evader: no iteration runs
 
@@ -66,7 +66,7 @@ class StepDecision:
     The heading to apply is the first of the deciding player's sequence;
     u_seq/v_seq also warm-start the next receding-horizon step. u_seq is
     None for the deceptive evader, whose solve involves no pursuer
-    sequence.
+    sequence. The residuals are the last gaps of _gauss_seidel, lengths.
     """
 
     iters: int
@@ -81,14 +81,9 @@ class StepDecision:
         return self.status is StepStatus.CONVERGED
 
 
-def _residual(new: ControlSequence, old: ControlSequence) -> float:
-    """Change between iterates: 2-norm over implied velocity vectors."""
-    return float(np.linalg.norm(new.velocities() - old.velocities()))
-
-
-def _end(start: np.ndarray, seq: ControlSequence, dt: float) -> np.ndarray:
+def _end(start: np.ndarray, seq: ControlSequence, speed: float, dt: float) -> np.ndarray:
     """The terminal point of a plan from start: all a best response sees of it."""
-    return track(start, seq.headings, seq.speed, dt)[-1]
+    return track(start, seq.headings, speed, dt)[-1]
 
 
 def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Player],
@@ -99,27 +94,27 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
     evader can, so min-max and max-min of the terminal distance differ and
     no pure equilibrium exists for an iteration to find. The pursuer side
     best-responds once to an evader fleeing along the line of sight, to
-    the point x_e + v_c*T*(x_e - x_p)/d, and the evader side best-responds
-    to the end of that answer. The fleeing evader is a model of intent,
-    not a plan, and is checked against no disk; each of the two best
-    responses keeps its own player's disk, so a disk between the players
-    is planned around exactly as elsewhere.
+    flee = x_e + v_c*T*(x_e - x_p)/d, and the evader side answers the end
+    of that answer: the gaps are 0 and ||end(v_br) - flee||. The fleeing
+    evader is a model of intent, not a plan, and is checked against no
+    disk; each best response keeps its own player's disk, so a disk
+    between the players is planned around exactly as elsewhere.
 
     Otherwise, relaxed Gauss-Seidel. A best response sees the other side
     only through the terminal point of its plan. In free space and
     without risk, one plain sweep maps the line-of-sight angle between
     the terminal points to -G times itself,
     G = u_c*T*v_c*T / ((d - u_c*T)(d + v_c*T)), which exceeds 1 just
-    outside the endgame. So each best response answers a relaxed copy of
-    the other side's terminal point, moved the fraction lam = 1/(1 + G)
-    of the way to the end of each new best response; a sweep then
-    contracts by G/(1 + G) < 1, and lam is near 1 where G is small. The
-    relaxation changes only the path, not the fixed points, so the same
-    lam serves the pursuer's risky game. Each best response is
-    warm-started from its side's previous one, and the game stops when
-    both successive best responses move by at most conv_tol, or is capped
-    after max_iters sweeps. The decision holds the best responses, never
-    the relaxed points.
+    outside the endgame. So each best response answers a relaxed point x
+    of the other side, x <- x + lam*gap with gap = end(br) - x for each
+    new best response br and lam = 1/(1 + G); a sweep then contracts by
+    G/(1 + G) < 1. The relaxation changes only the path, not the fixed
+    points, so the same lam serves the pursuer's risky game. Best
+    responses are warm-started from their side's previous ones. The gap
+    is the iteration's fixed-point residual: the game stops when both
+    ||gap|| <= conv_tol, each returned plan then answering a point within
+    conv_tol of the other's end (an epsilon-equilibrium), or is capped
+    after max_iters sweeps. It returns the best responses, not the points.
     """
     pursuer, evader = players
     u_seq, v_seq = warm
@@ -131,37 +126,36 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
         flee = s.x_e + (reach_e / d) * (s.x_e - s.x_p)
         u_br = best_response(HorizonProblem(pursuer, s, flee, cfg), u_seq).sequence
         v_br = best_response(
-            HorizonProblem(evader, s, _end(s.x_p, u_br, cfg.dt), cfg), v_seq).sequence
+            HorizonProblem(evader, s, _end(s.x_p, u_br, cfg.u_c, cfg.dt), cfg), v_seq).sequence
         return StepDecision(
             iters=1,
             status=StepStatus.ENDGAME,
-            residual_u=_residual(u_br, u_seq),
-            residual_v=_residual(v_br, v_seq),
+            residual_u=0.0,
+            residual_v=float(np.linalg.norm(_end(s.x_e, v_br, cfg.v_c, cfg.dt) - flee)),
             u_seq=u_br,
             v_seq=v_br,
         )
     lam = 1.0 / (1.0 + reach_p * reach_e / ((d - reach_p) * (d + reach_e)))
-    u_in, v_in = _end(s.x_p, u_seq, cfg.dt), _end(s.x_e, v_seq, cfg.dt)
-    residual_u = math.inf
-    residual_v = math.inf
-    status = StepStatus.CAPPED
+    u_in, v_in = _end(s.x_p, u_seq, cfg.u_c, cfg.dt), _end(s.x_e, v_seq, cfg.v_c, cfg.dt)
+    residual_u = residual_v = math.inf
     iters = 0
     gs = GAUSS_SEIDEL
     for iters in range(1, gs.max_iters + 1):
-        u_prev, v_prev = u_seq, v_seq
         u_seq = best_response(HorizonProblem(pursuer, s, v_in, cfg), u_seq).sequence
+        gap_u = _end(s.x_p, u_seq, cfg.u_c, cfg.dt) - u_in
         # A new point each time: the problem just solved holds the old one.
-        u_in = u_in + lam * (_end(s.x_p, u_seq, cfg.dt) - u_in)
+        u_in = u_in + lam * gap_u
         v_seq = best_response(HorizonProblem(evader, s, u_in, cfg), v_seq).sequence
-        v_in = v_in + lam * (_end(s.x_e, v_seq, cfg.dt) - v_in)
-        residual_u = _residual(u_seq, u_prev)
-        residual_v = _residual(v_seq, v_prev)
-        if residual_u <= gs.conv_tol and residual_v <= gs.conv_tol:
-            status = StepStatus.CONVERGED
+        gap_v = _end(s.x_e, v_seq, cfg.v_c, cfg.dt) - v_in
+        v_in = v_in + lam * gap_v
+        residual_u = float(np.linalg.norm(gap_u))
+        residual_v = float(np.linalg.norm(gap_v))
+        if max(residual_u, residual_v) <= gs.conv_tol:
             break
     return StepDecision(
         iters=iters,
-        status=status,
+        status=(StepStatus.CONVERGED if max(residual_u, residual_v) <= gs.conv_tol
+                else StepStatus.CAPPED),
         residual_u=residual_u,
         residual_v=residual_v,
         u_seq=u_seq,

@@ -87,14 +87,9 @@ def plan_risk(cfg: ScenarioConfig, state: GameState, u_seq: ControlSequence) -> 
     """
     n = len(u_seq)
     return float(np.sum(rcs_sample(
-        track(state.x_p, u_seq.headings, u_seq.speed, cfg.dt),
+        track(state.x_p, u_seq.headings, cfg.u_c, cfg.dt),
         cfg.nominal_obstacle(horizon_times(state.t, n, cfg.dt)),
         horizon_times(0.0, n, cfg.dt), cfg).weighted_norm_sq))
-
-
-def _los_sequence(state: GameState, n: int, speed: float) -> ControlSequence:
-    los = line_of_sight_heading(state.x_p, state.x_e)
-    return ControlSequence(headings=np.full(n, los), speed=speed)
 
 
 class _Pipeline:
@@ -105,11 +100,10 @@ class _Pipeline:
     solve(state, warm) returns a StepDecision or raises NoFeasibleSequence.
     """
 
-    def __init__(self, cfg: ScenarioConfig, player: Player,
-                 speeds: tuple[float, ...], solve):
+    def __init__(self, cfg: ScenarioConfig, player: Player, n_plans: int, solve):
         self.cfg = cfg
         self.player = player
-        self.speeds = speeds
+        self.n_plans = n_plans
         self.solve = solve
         self.warm: tuple[ControlSequence, ...] | None = None
         self.prev_head: float | None = None
@@ -117,8 +111,8 @@ class _Pipeline:
     def decide(self, state: GameState):
         """(heading, StepDecision or None on a hold, the sequences planned)."""
         if self.warm is None:
-            self.warm = tuple(_los_sequence(state, self.cfg.N, speed)
-                              for speed in self.speeds)
+            los = line_of_sight_heading(state.x_p, state.x_e)
+            self.warm = (ControlSequence(np.full(self.cfg.N, los)),) * self.n_plans
         try:
             dec = self.solve(state, self.warm)
         except NoFeasibleSequence:
@@ -142,14 +136,13 @@ def _pipelines(cfg: ScenarioConfig) -> tuple[_Pipeline, _Pipeline]:
     The solves are looked up by module name per call, so wrappers set on
     this module's names (a traced run's timers) see every decision.
     """
-    both = (cfg.u_c, cfg.v_c)
-    pursuer = _Pipeline(cfg, Player.PURSUER, both,
+    pursuer = _Pipeline(cfg, Player.PURSUER, 2,
                         lambda s, warm: solve_pursuer_game(s, cfg, warm))
     if cfg.evader_mode is EvaderMode.DECEPTIVE:
-        evader = _Pipeline(cfg, Player.DECEPTIVE_EVADER, (cfg.v_c,),
+        evader = _Pipeline(cfg, Player.DECEPTIVE_EVADER, 1,
                            lambda s, warm: solve_evader_deceptive(s, cfg, *warm))
     else:
-        evader = _Pipeline(cfg, Player.EVADER, both,
+        evader = _Pipeline(cfg, Player.EVADER, 2,
                            lambda s, warm: solve_evader_original(s, cfg, warm))
     return pursuer, evader
 

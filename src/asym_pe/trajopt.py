@@ -128,8 +128,9 @@ class _BatchEval:
     Positions come from game.track, the path step_state takes, so each
     row's positions equal the step_state chain's bit for bit. The opponent
     is the fixed point opp_end, or for the deceptive evader a pure-pursuit
-    model chasing each row's own positions. The penalty sums max(0, g + FEASIBILITY_TOL)^2, so a descent that stops just short
-    of its zero set still ends feasible, max(0, g) <= FEASIBILITY_TOL. The
+    model chasing each row's own positions. The penalty sums
+    max(0, g + FEASIBILITY_TOL)^2, so a descent that stops just short of
+    its zero set still ends feasible, max(0, g) <= FEASIBILITY_TOL. The
     payoff is the scalar reference's formula (tests/oracles.py) but not
     its arithmetic: norms taken along an axis and the batched pure-pursuit
     and risk terms can differ from the scalar norms in the last bits.
@@ -219,8 +220,7 @@ def constraint_violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndar
 def shift_and_hold(seq: ControlSequence) -> ControlSequence:
     """Receding-horizon warm start: drop the applied step, repeat the last."""
     h = seq.headings
-    return ControlSequence(
-        headings=np.concatenate([h[1:], h[-1:]]), speed=seq.speed)
+    return ControlSequence(headings=np.concatenate([h[1:], h[-1:]]))
 
 
 def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.ndarray:
@@ -257,24 +257,24 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     """Optimal or locally optimal feasible plan of the horizon problem.
 
     A risk-free, non-deceptive player first tries its straight line
-    (_straight_line): when that line is feasible it is the global optimum
-    of the constrained problem too, and it is returned with no descent
-    step. Every other problem descends from the warm start (_descend).
+    (_straight_line): when feasible it is the constrained global optimum,
+    returned with no descent step unless the warm start rounds better.
+    Every other problem descends from the warm start (_descend).
     """
     n = prob.cfg.N
     if len(init) != n:
         raise ValidationError(f"init length {len(init)} != N={n}")
     ev = _BatchEval(prob)
-    if init.speed != ev.speed:
-        raise ValidationError("init speed does not match the optimizing player")
     line = _straight_line(ev)
     if line is not None:
-        raw, _, viol_max = ev(line[None, :])
+        # The warm start stays a candidate: rounding can leave it a bit better.
+        raw, _, viol_max = ev(np.vstack([line, init.headings]))
         if viol_max[0] <= FEASIBILITY_TOL and np.isfinite(raw[0]):
+            k = int(viol_max[1] <= FEASIBILITY_TOL and ev.sign * raw[1] < ev.sign * raw[0])
             return BestResponse(
-                sequence=ControlSequence(headings=line, speed=ev.speed),
-                objective_value=float(raw[0]),
-                constraint_max_violation=float(viol_max[0]),
+                sequence=init if k else ControlSequence(headings=line),
+                objective_value=float(raw[k]),
+                constraint_max_violation=float(viol_max[k]),
                 solver_iters=0,
                 converged=True,
             )
@@ -364,7 +364,7 @@ def _descend(ev: _BatchEval, init: ControlSequence) -> BestResponse:
     winner = min(np.flatnonzero(feasible), key=lambda m: (
         sign * raw_end[m], m == n_starts, tuple(candidates[m])))
     seq = (init if winner == n_starts
-           else ControlSequence(headings=h_cur[winner].copy(), speed=ev.speed))
+           else ControlSequence(headings=h_cur[winner].copy()))
 
     return BestResponse(
         sequence=seq,

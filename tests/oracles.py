@@ -70,16 +70,12 @@ def scalar_step(s: GameState, u_head: float, v_head: float,
     )
 
 
-def rollout(start: GameState, mine: ControlSequence, theirs: ControlSequence,
+def rollout(start: GameState, u_seq: ControlSequence, v_seq: ControlSequence,
             cfg: ScenarioConfig) -> list[GameState]:
-    """N+1 states applying both heading sequences; roles resolved by speed."""
-    if len(mine) != len(theirs):
+    """N+1 states applying the pursuer's and the evader's heading sequences."""
+    if len(u_seq) != len(v_seq):
         raise ValidationError(
-            f"sequence lengths differ: {len(mine)} vs {len(theirs)}")
-    if mine.speed == cfg.u_c:
-        u_seq, v_seq = mine, theirs
-    else:
-        u_seq, v_seq = theirs, mine
+            f"sequence lengths differ: {len(u_seq)} vs {len(v_seq)}")
     states = [start]
     s = start
     for u_head, v_head in zip(u_seq.headings, v_seq.headings):
@@ -97,21 +93,20 @@ def problem_against(player: Player, start: GameState, opp: ControlSequence | Non
     """
     if opp is None:
         return HorizonProblem(player, start, None, cfg)
-    origin = start.x_e if player.pursues else start.x_p
+    origin, speed = (start.x_e, cfg.v_c) if player.pursues else (start.x_p, cfg.u_c)
     return HorizonProblem(
-        player, start, track(origin, opp.headings, opp.speed, cfg.dt)[-1], cfg)
+        player, start, track(origin, opp.headings, speed, cfg.dt)[-1], cfg)
 
 
 def _own_states(prob: HorizonProblem, seq: ControlSequence) -> list[GameState]:
     """The N states after start along seq for the optimizing player.
 
     Only that player's positions are read: the other player runs an
-    arbitrary plan, zero headings at its speed.
+    arbitrary plan, zero headings.
     """
-    cfg = prob.cfg
-    other = ControlSequence(headings=np.zeros(len(seq)),
-                            speed=cfg.v_c if prob.player.pursues else cfg.u_c)
-    return rollout(prob.start_state, seq, other, cfg)[1:]
+    other = ControlSequence(headings=np.zeros(len(seq)))
+    plans = (seq, other) if prob.player.pursues else (other, seq)
+    return rollout(prob.start_state, *plans, prob.cfg)[1:]
 
 
 def _deception_terminals(start: GameState, v_seq: ControlSequence,
@@ -123,7 +118,7 @@ def _deception_terminals(start: GameState, v_seq: ControlSequence,
         # The model pursues the evader's position at the start of the step.
         vel = pure_pursuit_model(xp, x_e, cfg.u_c)
         xp = xp + vel * cfg.dt
-        x_e = heading_step(x_e, v_seq.speed, float(head), cfg.dt)
+        x_e = heading_step(x_e, cfg.v_c, float(head), cfg.dt)
     t_end = horizon_times(start.t, len(v_seq), cfg.dt)[-1]
     return xp, x_e, cfg.true_obstacle(t_end)
 

@@ -210,16 +210,14 @@ def test_best_response_vs_heading_grid():
         pursues = trial % 2 == 0
         opp_speed = base.v_c if pursues else base.u_c
         my_speed = base.u_c if pursues else base.v_c
-        opp = ControlSequence(
-            headings=np.full(base.N, rng.uniform(-math.pi, math.pi)),
-            speed=opp_speed)
+        opp = ControlSequence(np.full(base.N, rng.uniform(-math.pi, math.pi)))
         my_start = p if pursues else e
         opp_start = e if pursues else p
-        opp_term = opp_start + np.sum(opp.velocities() * base.dt, axis=0)
+        opp_term = track(opp_start, opp.headings, opp_speed, base.dt)[-1]
         player = Player.PURSUER if pursues else Player.EVADER_MODEL
         prob = HorizonProblem(player, state, opp_term, base)
         los = line_of_sight_heading(p, e)
-        init = ControlSequence(headings=np.full(base.N, los), speed=my_speed)
+        init = ControlSequence(headings=np.full(base.N, los))
         resp = best_response(prob, init)
         my_term = my_start + base.N * base.dt * my_speed * unit
         dist = np.linalg.norm(my_term - opp_term, axis=-1)

@@ -296,13 +296,10 @@ def test_collision_tolerance_band():
 
 
 def test_control_sequence_velocities():
-    seq = ControlSequence(headings=np.array([0.0, math.pi / 2]), speed=0.6)
+    seq = ControlSequence(headings=np.array([0.0, math.pi / 2]))
     assert len(seq) == 2
-    v = seq.velocities()
-    np.testing.assert_allclose(np.linalg.norm(v, axis=1), 0.6)
-    np.testing.assert_allclose(v[0], [0.6, 0.0], atol=1e-15)
     with pytest.raises(ValidationError):
-        ControlSequence(headings=np.zeros((2, 2)), speed=1.0)
+        ControlSequence(headings=np.zeros((2, 2)))
 
 
 def test_line_of_sight_heading():

@@ -39,8 +39,8 @@ FAR_OBSTACLE = dict(obstacle_start=(1e6, 1e6), rho_nominal=(0.0, 0.0),
 
 def los_warm(cfg, state):
     los = line_of_sight_heading(state.x_p, state.x_e)
-    return (ControlSequence(headings=np.full(cfg.N, los), speed=cfg.u_c),
-            ControlSequence(headings=np.full(cfg.N, los), speed=cfg.v_c))
+    return (ControlSequence(headings=np.full(cfg.N, los)),
+            ControlSequence(headings=np.full(cfg.N, los)))
 
 
 def angle_diff(a: float, b: float) -> float:
@@ -114,8 +114,8 @@ def test_iteration_cap_respected(monkeypatch):
     s0 = initial_state(cfg)
     gs = GaussSeidelConfig(conv_tol=1e-15, max_iters=2)
     monkeypatch.setattr(game_solver, "GAUSS_SEIDEL", gs)
-    warm = (ControlSequence(headings=np.full(cfg.N, 0.3), speed=cfg.u_c),
-            ControlSequence(headings=np.full(cfg.N, -0.4), speed=cfg.v_c))
+    warm = (ControlSequence(headings=np.full(cfg.N, 0.3)),
+            ControlSequence(headings=np.full(cfg.N, -0.4)))
     dec = solve_pursuer_game(s0, cfg, warm)
     assert dec.iters == gs.max_iters
     assert dec.status is StepStatus.CAPPED
@@ -137,17 +137,22 @@ def test_outcome_does_not_depend_on_the_iteration_cap(monkeypatch, name):
     assert len(kinds) == 1, kinds
 
 
-@pytest.mark.parametrize("d", [1.05, 1.15, 1.25])
+@pytest.mark.parametrize("d", [
+    pytest.param(1.02, marks=pytest.mark.xfail(strict=True, reason=(
+        "G = 18.5: lam = 0.051 moves the points too slowly, both games cap "
+        "at 50 sweeps with the evader 0.435 rad off the line of sight; "
+        "ROADMAP item 2's Aitken/Anderson lead"))),
+    1.05, 1.15, 1.25])
 def test_free_space_game_converges_just_outside_the_endgame(d):
     # Here u_c*T < d < 1.31, so a plain sweep multiplies the line-of-sight
     # error by -G with G > 1. The relaxed iteration must still reach the
     # free-space saddle, both plans on the line of sight, from off-line
-    # warm starts.
+    # warm starts. No preset or benchmark game reaches d = 1.02.
     cfg = replace(preset("fig4_rho1"), evader_start=(d, 0.0), **FAR_OBSTACLE)
     s0 = initial_state(cfg)
     assert cfg.u_c * cfg.N * cfg.dt < d
-    warm = (ControlSequence(headings=np.full(cfg.N, 0.3), speed=cfg.u_c),
-            ControlSequence(headings=np.full(cfg.N, -0.2), speed=cfg.v_c))
+    warm = (ControlSequence(headings=np.full(cfg.N, 0.3)),
+            ControlSequence(headings=np.full(cfg.N, -0.2)))
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     for solve in (solve_pursuer_game, solve_evader_original):
         dec = solve(s0, cfg, warm)
@@ -174,6 +179,14 @@ def test_endgame_with_the_disk_between_the_players():
     assert constraint_g(p_plan, cfg.nominal_obstacle(ts), cfg.r_o).max() <= COLLISION_TOL
     e_plan = track(s0.x_e, evader.v_seq.headings, cfg.v_c, cfg.dt)
     assert constraint_g(e_plan, cfg.true_obstacle(ts), cfg.r_o).max() <= COLLISION_TOL
+    # The residuals are point gaps: the evader side answers the end of the
+    # pursuer's plan itself, and the pursuer side answers the fleeing point.
+    d = float(np.linalg.norm(s0.x_e - s0.x_p))
+    flee = s0.x_e + (cfg.v_c * cfg.N * cfg.dt / d) * (s0.x_e - s0.x_p)
+    for dec in (pursuer, evader):
+        assert dec.residual_u == 0.0
+        gap = track(s0.x_e, dec.v_seq.headings, cfg.v_c, cfg.dt)[-1] - flee
+        assert abs(dec.residual_v - float(np.linalg.norm(gap))) <= 1e-12
     # The pursuer's endgame, like its iterated game, sees only the nominal disk.
     blind = replace(cfg)
     object.__setattr__(blind, "rho_true", (math.nan, math.nan))
@@ -207,8 +220,7 @@ def test_deceptive_decision_shape():
     cfg = preset("fig7_deception_collision")
     s0 = initial_state(cfg)
     warm = ControlSequence(
-        headings=np.full(cfg.N, line_of_sight_heading(s0.x_p, s0.x_e)),
-        speed=cfg.v_c)
+        headings=np.full(cfg.N, line_of_sight_heading(s0.x_p, s0.x_e)))
     dec = solve_evader_deceptive(s0, cfg, warm)
     assert dec.u_seq is None
     assert len(dec.v_seq) == cfg.N
@@ -218,6 +230,6 @@ def test_deceptive_decision_shape():
 def test_deceptive_requires_deceptive_mode():
     cfg = preset("fig2_collision")  # original evader mode
     s0 = initial_state(cfg)
-    warm = ControlSequence(headings=np.zeros(cfg.N), speed=cfg.v_c)
+    warm = ControlSequence(headings=np.zeros(cfg.N))
     with pytest.raises(ValidationError):
         solve_evader_deceptive(s0, cfg, warm)

@@ -90,8 +90,8 @@ def test_cartesian_sensitivity_vs_central_differences(seed):
 ], ids=["fig2_collision", "fig3_desensitized"])
 def test_ode_path_matches_closed_form(name, n, first, last):
     cfg = replace(preset(name), uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN)
-    u = ControlSequence(headings=np.linspace(first, last, n), speed=cfg.u_c)
-    v = ControlSequence(headings=np.zeros(n), speed=cfg.v_c)
+    u = ControlSequence(headings=np.linspace(first, last, n))
+    v = ControlSequence(headings=np.zeros(n))
     mats = propagate_sensitivity_ode(cfg, u, v)
     assert len(mats) == n + 1
     rng = np.random.default_rng(3)
@@ -129,8 +129,8 @@ def test_generic_rk4_nontrivial_system():
 
 def test_ode_rejects_mismatched_sequences():
     cfg = make_cfg()
-    u = ControlSequence(headings=np.zeros(3), speed=cfg.u_c)
-    v = ControlSequence(headings=np.zeros(4), speed=cfg.v_c)
+    u = ControlSequence(headings=np.zeros(3))
+    v = ControlSequence(headings=np.zeros(4))
     with pytest.raises(ValidationError):
         propagate_sensitivity_ode(cfg, u, v)
 

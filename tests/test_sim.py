@@ -152,7 +152,7 @@ def test_plan_risk_hand_computed():
     for cfg in cases:
         s0 = initial_state(cfg)
         base = step_state(s0, 0.3, 0.1, cfg)  # some mid-game state, t = 0.1
-        u = ControlSequence(headings=np.array([0.2, -0.1, 0.05, 0.3]), speed=cfg.u_c)
+        u = ControlSequence(headings=np.array([0.2, -0.1, 0.05, 0.3]))
         got = plan_risk(cfg, base, u)
 
         q = cfg.q_matrix()
@@ -176,7 +176,7 @@ def test_plan_risk_hand_computed():
 def test_plan_risk_zero_weight():
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
-    u = ControlSequence(headings=np.zeros(cfg.N), speed=cfg.u_c)
+    u = ControlSequence(headings=np.zeros(cfg.N))
     assert plan_risk(cfg, s0, u) == 0.0
 
 

@@ -42,8 +42,8 @@ FAR_OBSTACLE = dict(obstacle_start=(1e6, 1e6), rho_nominal=(0.0, 0.0),
                     rho_true=(0.0, 0.0))
 
 
-def constant_seq(heading: float, n: int, speed: float) -> ControlSequence:
-    return ControlSequence(headings=np.full(n, heading), speed=speed)
+def constant_seq(heading: float, n: int) -> ControlSequence:
+    return ControlSequence(headings=np.full(n, heading))
 
 
 def grid_headings(step_deg: float = 0.5) -> np.ndarray:
@@ -119,7 +119,7 @@ def test_player_speed_start_sign_disk_and_risk(player, q):
     cfg = replace(preset("fig7_deception_collision"), Q=q)
     s0 = initial_state(cfg)
     opp = (None if player is Player.DECEPTIVE_EVADER
-           else constant_seq(0.2, cfg.N, cfg.v_c if pursues else cfg.u_c))
+           else constant_seq(0.2, cfg.N))
     ev = _BatchEval(oracles.problem_against(player, s0, opp, cfg))
     assert ev.speed == (cfg.u_c if pursues else cfg.v_c)
     assert ev.my_start is (s0.x_p if pursues else s0.x_e)
@@ -142,8 +142,8 @@ def test_rollout_matches_step_state_chain():
     cfg = make_cfg()
     s0 = initial_state(cfg)
     rng = np.random.default_rng(1)
-    u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
-    v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
+    u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N))
+    v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N))
     states = oracles.rollout(s0, u, v, cfg)
     assert len(states) == cfg.N + 1
     # The scalar chain visits the states of the runtime's step_state chain.
@@ -152,14 +152,8 @@ def test_rollout_matches_step_state_chain():
         s = step_state(s, a, b, cfg)
         for name in ("t", "x_p", "x_e", "x_w_true", "x_w_nominal"):
             np.testing.assert_array_equal(getattr(state, name), getattr(s, name))
-    # Role resolution by speed: passing the sequences in either order
-    # produces the same states.
-    swapped = oracles.rollout(s0, v, u, cfg)
-    for a, b in zip(states, swapped):
-        np.testing.assert_array_equal(a.x_p, b.x_p)
-        np.testing.assert_array_equal(a.x_e, b.x_e)
     with pytest.raises(ValidationError):
-        oracles.rollout(s0, u, constant_seq(0.0, cfg.N - 1, cfg.v_c), cfg)
+        oracles.rollout(s0, u, constant_seq(0.0, cfg.N - 1), cfg)
 
 
 def test_gradient_matches_sequential_finite_differences():
@@ -171,9 +165,9 @@ def test_gradient_matches_sequential_finite_differences():
     s0 = initial_state(cfg)
     for seed in (4, 7, 14, 22, 45, 60):
         rng = np.random.default_rng(seed)
-        v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.v_c)
+        v = ControlSequence(headings=rng.uniform(-3, 3, cfg.N))
         prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
-        u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N), speed=cfg.u_c)
+        u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N))
         grad = oracles.objective_gradient(prob, u)
         ev = _BatchEval(prob)
         batch = np.empty(cfg.N)
@@ -184,8 +178,8 @@ def test_gradient_matches_sequential_finite_differences():
             hp[j] += GRAD_H
             hm[j] -= GRAD_H
             batch[j] = (ev(hp[None, :])[0][0] - ev(hm[None, :])[0][0]) / (2 * GRAD_H)
-            fp = oracles.objective(prob, ControlSequence(headings=hp, speed=cfg.u_c))
-            fm = oracles.objective(prob, ControlSequence(headings=hm, speed=cfg.u_c))
+            fp = oracles.objective(prob, ControlSequence(headings=hp))
+            fm = oracles.objective(prob, ControlSequence(headings=hm))
             scalar[j] = (fp - fm) / (2 * GRAD_H)
         np.testing.assert_array_equal(grad, batch, err_msg=f"seed {seed}")
         np.testing.assert_allclose(grad, scalar, rtol=0.0, atol=1e-8,
@@ -197,8 +191,8 @@ def test_q_zero_collapses_to_plain_objective():
     # evader models it by: same payoff, same best response, bit for bit.
     cfg = make_cfg(Q=0.0)
     s0 = initial_state(cfg)
-    v = constant_seq(0.3, cfg.N, cfg.v_c)
-    u = constant_seq(-0.2, cfg.N, cfg.u_c)
+    v = constant_seq(0.3, cfg.N)
+    u = constant_seq(-0.2, cfg.N)
     probs = [oracles.problem_against(player, s0, v, cfg)
              for player in (Player.PURSUER_MODEL, Player.PURSUER)]
     assert evaluate_objective(probs[0], u) == evaluate_objective(probs[1], u)
@@ -221,7 +215,7 @@ def test_only_the_deceptive_evader_reads_the_seed():
     cfg = preset("fig3_desensitized")
     s0 = initial_state(cfg)
     los = line_of_sight_heading(s0.x_p, s0.x_e)
-    u, v = constant_seq(los, cfg.N, cfg.u_c), constant_seq(los, cfg.N, cfg.v_c)
+    u, v = constant_seq(los, cfg.N), constant_seq(los, cfg.N)
     for player in (Player.PURSUER, Player.EVADER_MODEL, Player.PURSUER_MODEL,
                    Player.EVADER):
         mine, theirs = (u, v) if player.pursues else (v, u)
@@ -232,7 +226,7 @@ def test_only_the_deceptive_evader_reads_the_seed():
 
     cfg = preset("fig7_deception_collision")
     s0 = initial_state(cfg)
-    flee = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
+    flee = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N)
     a, b = responses(cfg, Player.DECEPTIVE_EVADER, None, flee)
     assert not np.array_equal(a.sequence.headings, b.sequence.headings)
 
@@ -243,9 +237,9 @@ def test_pursuer_best_response_matches_grid_oracle():
     # a valid oracle for the optimal value.
     cfg = make_cfg(N=5, dt=0.2, **FAR_OBSTACLE)
     s0 = initial_state(cfg)
-    v = constant_seq(math.pi / 4, cfg.N, cfg.v_c)
+    v = constant_seq(math.pi / 4, cfg.N)
     prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
-    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
+    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N)
     resp = best_response(prob, init)
     oracle_val, _ = constant_heading_oracle(prob)
     assert abs(resp.objective_value - oracle_val) <= 1e-3
@@ -257,9 +251,9 @@ def test_evader_flee_is_local_optimum():
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
     los = line_of_sight_heading(s0.x_p, s0.x_e)
-    u = constant_seq(los, cfg.N, cfg.u_c)  # pursuer heads straight at evader
+    u = constant_seq(los, cfg.N)  # pursuer heads straight at evader
     prob = oracles.problem_against(Player.EVADER, s0, u, cfg)
-    flee = constant_seq(los, cfg.N, cfg.v_c)  # continue along the line of sight
+    flee = constant_seq(los, cfg.N)  # continue along the line of sight
     resp = best_response(prob, flee)
     flee_val = evaluate_objective(prob, flee)
     assert resp.objective_value >= flee_val - 1e-3
@@ -274,7 +268,7 @@ def test_deceptive_response_drags_modeled_pursuer_toward_obstacle():
     cfg = preset("fig7_deception_collision")
     s0 = initial_state(cfg)
     prob = HorizonProblem(Player.DECEPTIVE_EVADER, s0, None, cfg)
-    flee = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.v_c)
+    flee = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N)
     resp = best_response(prob, flee)
     flee_val = evaluate_objective(prob, flee)
     # alpha_o=0, alpha_d=1: objective is -||modeled pursuer - true obstacle||.
@@ -288,9 +282,9 @@ def test_returned_plans_are_feasible_near_obstacle():
     # clear the nominal stream at every sample.
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
-    v = constant_seq(0.0, cfg.N, cfg.v_c)
+    v = constant_seq(0.0, cfg.N)
     prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
-    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N, cfg.u_c)
+    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N)
     resp = best_response(prob, init)
     viol = constraint_violations(prob, resp.sequence)
     assert viol.shape == (cfg.N,)
@@ -301,12 +295,11 @@ def test_returned_plans_are_feasible_near_obstacle():
 def test_feasible_init_never_gets_worse():
     cfg = make_cfg(**FAR_OBSTACLE)
     s0 = initial_state(cfg)
-    v = constant_seq(0.0, cfg.N, cfg.v_c)
+    v = constant_seq(0.0, cfg.N)
     prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        init = ControlSequence(headings=rng.uniform(-math.pi, math.pi, cfg.N),
-                               speed=cfg.u_c)
+        init = ControlSequence(headings=rng.uniform(-math.pi, math.pi, cfg.N))
         init_val = evaluate_objective(prob, init)
         resp = best_response(prob, init)
         assert resp.objective_value <= init_val + 1e-12
@@ -328,8 +321,7 @@ def _reported_value_problem(case: str) -> HorizonProblem:
     cfg = preset(name)
     s0 = initial_state(cfg)
     opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(
-        line_of_sight_heading(s0.x_p, s0.x_e), cfg.N,
-        cfg.v_c if player.pursues else cfg.u_c)
+        line_of_sight_heading(s0.x_p, s0.x_e), cfg.N)
     return oracles.problem_against(player, s0, opp, cfg)
 
 
@@ -341,8 +333,7 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
     # and within rounding of the scalar references in tests/oracles.py.
     prob = _reported_value_problem(case)
     s0 = prob.start_state
-    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), prob.cfg.N,
-                        _BatchEval(prob).speed)
+    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), prob.cfg.N)
     resp = best_response(prob, init)
     raw, _, viol = _BatchEval(prob)(resp.sequence.headings[None, :])
     assert resp.objective_value == raw[0]
@@ -368,11 +359,12 @@ def test_batch_positions_equal_step_state_chain(case):
     assert pos.shape == (6, cfg.N, 2)
     # Only the optimizing player is compared, so any opponent plan drives
     # the chain.
-    opp = constant_seq(0.0, cfg.N, cfg.v_c if prob.player.pursues else cfg.u_c)
+    opp = constant_seq(0.0, cfg.N)
     mine = "x_p" if prob.player.pursues else "x_e"
     for row, row_pos in zip(headings, pos):
-        seq = ControlSequence(headings=row, speed=ev.speed)
-        states = oracles.rollout(prob.start_state, seq, opp, cfg)[1:]
+        seq = ControlSequence(headings=row)
+        plans = (seq, opp) if prob.player.pursues else (opp, seq)
+        states = oracles.rollout(prob.start_state, *plans, cfg)[1:]
         np.testing.assert_array_equal(
             row_pos, np.array([getattr(s, mine) for s in states]))
 
@@ -385,9 +377,9 @@ def test_no_feasible_sequence_raises():
         rho_nominal=(-30.0, 0.0), rho_true=(0.0, 0.0),
         uncertainty_spec=UncertaintySpec.BOTH_CARTESIAN, N=3, Q=0.0)
     s0 = initial_state(cfg)
-    v = constant_seq(math.pi, cfg.N, cfg.v_c)
+    v = constant_seq(math.pi, cfg.N)
     prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
-    init = constant_seq(math.pi, cfg.N, cfg.u_c)
+    init = constant_seq(math.pi, cfg.N)
     with pytest.raises(NoFeasibleSequence):
         best_response(prob, init)
 
@@ -401,8 +393,8 @@ def test_feasible_warm_start_wins_when_every_descent_ends_infeasible(monkeypatch
                    rho_true=(0.0, 0.0))
     s0 = initial_state(cfg)
     prob = oracles.problem_against(
-        Player.PURSUER, s0, constant_seq(0.0, cfg.N, cfg.v_c), cfg)
-    init = constant_seq(math.pi / 2, cfg.N, cfg.u_c)
+        Player.PURSUER, s0, constant_seq(0.0, cfg.N), cfg)
+    init = constant_seq(math.pi / 2, cfg.N)
     assert constraint_violations(prob, init).max() == 0.0
     monkeypatch.setattr(trajopt, "MU_SCHEDULE", (10.0,))
     resp = best_response(prob, init)
@@ -415,13 +407,12 @@ def test_feasible_warm_start_wins_when_every_descent_ends_infeasible(monkeypatch
 def _solved_alone(prob, starts, monkeypatch, mu_schedule=trajopt.MU_SCHEDULE):
     """Each start's single-start response, or None where it has no feasible plan."""
     out = []
-    speed = _BatchEval(prob).speed
     with monkeypatch.context() as m:
         m.setattr(trajopt, "N_STARTS", 1)
         m.setattr(trajopt, "MU_SCHEDULE", mu_schedule)
         for h in starts:
             try:
-                out.append(best_response(prob, ControlSequence(h, speed)))
+                out.append(best_response(prob, ControlSequence(h)))
             except NoFeasibleSequence:
                 out.append(None)
     return out
@@ -495,29 +486,26 @@ def test_descent_cap_reaches_converged(monkeypatch, name, player, cap, expected)
     cfg = preset(name)
     s0 = initial_state(cfg)
     los = line_of_sight_heading(s0.x_p, s0.x_e)
-    opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(los, cfg.N, cfg.v_c)
+    opp = None if player is Player.DECEPTIVE_EVADER else constant_seq(los, cfg.N)
     prob = oracles.problem_against(player, s0, opp, cfg)
     monkeypatch.setattr(trajopt, "MAX_DESCENT_ITERS", cap)
-    resp = best_response(prob, constant_seq(los, cfg.N, _BatchEval(prob).speed))
+    resp = best_response(prob, constant_seq(los, cfg.N))
     assert (resp.converged, resp.solver_iters) == expected
 
 
 def test_best_response_input_validation():
     cfg = make_cfg()
     s0 = initial_state(cfg)
-    v = constant_seq(0.0, cfg.N, cfg.v_c)
+    v = constant_seq(0.0, cfg.N)
     prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
     with pytest.raises(ValidationError):
-        best_response(prob, constant_seq(0.0, cfg.N - 1, cfg.u_c))
-    with pytest.raises(ValidationError):
-        best_response(prob, constant_seq(0.0, cfg.N, cfg.v_c))
+        best_response(prob, constant_seq(0.0, cfg.N - 1))
 
 
 def test_shift_and_hold():
-    seq = ControlSequence(headings=np.array([0.1, 0.2, 0.3]), speed=1.0)
+    seq = ControlSequence(headings=np.array([0.1, 0.2, 0.3]))
     shifted = shift_and_hold(seq)
     np.testing.assert_array_equal(shifted.headings, [0.2, 0.3, 0.3])
-    assert shifted.speed == 1.0
 
 
 def test_deception_needs_true_obstacle_geometry():
@@ -525,7 +513,7 @@ def test_deception_needs_true_obstacle_geometry():
     # true velocity changes the objective value.
     cfg = preset("fig7_deception_collision")
     s0 = initial_state(cfg)
-    seq = constant_seq(0.5, cfg.N, cfg.v_c)
+    seq = constant_seq(0.5, cfg.N)
 
     def value(c):
         prob = HorizonProblem(Player.DECEPTIVE_EVADER, s0, None, c)
