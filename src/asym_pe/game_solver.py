@@ -30,7 +30,6 @@ from .game import (
 from .trajopt import HorizonProblem, Player, best_response
 
 __all__ = [
-    "GAUSS_SEIDEL",
     "GaussSeidelConfig",
     "StepDecision",
     "StepStatus",
@@ -40,15 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GaussSeidelConfig:
     """The step game's stopping rule: both gaps within conv_tol (a length), or max_iters."""
 
-    conv_tol: float = 5e-3
-    max_iters: int = 50
-
-
-GAUSS_SEIDEL = GaussSeidelConfig()
+    conv_tol = 5e-3
+    max_iters = 50
 
 
 class StepStatus(Enum):
@@ -139,7 +134,7 @@ def _gauss_seidel(s: GameState, cfg: ScenarioConfig, players: tuple[Player, Play
     u_in, v_in = _end(s.x_p, u_seq, cfg.u_c, cfg.dt), _end(s.x_e, v_seq, cfg.v_c, cfg.dt)
     residual_u = residual_v = math.inf
     iters = 0
-    gs = GAUSS_SEIDEL
+    gs = GaussSeidelConfig
     for iters in range(1, gs.max_iters + 1):
         u_seq = best_response(HorizonProblem(pursuer, s, v_in, cfg), u_seq).sequence
         gap_u = _end(s.x_p, u_seq, cfg.u_c, cfg.dt) - u_in

@@ -55,12 +55,12 @@ class SimRecord:
 
     @property
     def pursuer_infeasible(self) -> bool:
-        """The pursuer held its heading: its solve found no feasible plan."""
+        """The pursuer held: its solve found no feasible plan."""
         return self.u_head is not None and self.pursuer is None
 
     @property
     def evader_infeasible(self) -> bool:
-        """The evader held its heading: its solve found no feasible plan."""
+        """The evader held: its solve found no feasible plan."""
         return self.v_head is not None and self.evader is None
 
 
@@ -96,8 +96,10 @@ class _Pipeline:
     """One player's decision chain, isolated so it can be replayed.
 
     Holds the warm start, one sequence per player its solve optimizes, and
-    the previously applied heading; sees only the states fed to decide().
-    solve(state, warm) returns a StepDecision or raises NoFeasibleSequence.
+    sees only the states fed to decide(). solve(state, warm) returns a
+    StepDecision or raises NoFeasibleSequence, a hold: the plan kept is
+    then the warm start, the last plan shifted by one step (the line of
+    sight at the first decision). Either way the plan kept is followed.
     """
 
     def __init__(self, cfg: ScenarioConfig, player: Player, n_plans: int, solve):
@@ -106,7 +108,6 @@ class _Pipeline:
         self.n_plans = n_plans
         self.solve = solve
         self.warm: tuple[ControlSequence, ...] | None = None
-        self.prev_head: float | None = None
 
     def decide(self, state: GameState):
         """(heading, StepDecision or None on a hold, the sequences planned)."""
@@ -116,17 +117,14 @@ class _Pipeline:
         try:
             dec = self.solve(state, self.warm)
         except NoFeasibleSequence:
-            logger.warning("%s solve infeasible at t=%.3f; holding heading",
+            logger.warning("%s solve infeasible at t=%.3f; following the kept plan",
                            self.player.value, state.t)
             dec, plan = None, self.warm
-            head = (self.prev_head if self.prev_head is not None
-                    else line_of_sight_heading(state.x_p, state.x_e))
         else:
             plan = tuple(seq for seq in (dec.u_seq, dec.v_seq) if seq is not None)
-            # The pursuer's sequence comes first; either evader's is last.
-            head = float(plan[0 if self.player.pursues else -1].headings[0])
+        # The pursuer's sequence comes first; either evader's is last.
+        head = float(plan[0 if self.player.pursues else -1].headings[0])
         self.warm = tuple(shift_and_hold(seq) for seq in plan)
-        self.prev_head = head
         return head, dec, plan
 
 

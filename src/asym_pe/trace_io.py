@@ -13,7 +13,7 @@ import numpy as np
 
 from .game import GameState, ScenarioConfig
 from .sensitivity import GridSpec, rcs_field_grid
-from .sim import SimulationTrace
+from .sim import SimRecord, SimulationTrace
 
 TRACE_HEADER = "t,xp1,xp2,xe1,xe2,xw_true1,xw_true2,xw_nom1,xw_nom2,u_head,v_head,risk"
 FIELD_HEADER = "x1,x2,rcs_norm"
@@ -42,17 +42,10 @@ def write_trace_csv(trace: SimulationTrace) -> str:
 
 
 @dataclass(frozen=True)
-class ParsedTraceRow:
-    t: float
-    state: GameState
-    u_head: float | None
-    v_head: float | None
-    risk: float | None
-
-
-@dataclass(frozen=True)
 class ParsedTrace:
-    rows: list[ParsedTraceRow]
+    """The trace's records without the solver decisions, which a CSV does not keep."""
+
+    rows: list[SimRecord]
     outcome_kind: str
     t_end: float
 
@@ -74,9 +67,7 @@ def parse_trace_csv(text: str) -> ParsedTrace:
         state = GameState(
             t=vals[0], x_p=np.array(vals[1:3]), x_e=np.array(vals[3:5]),
             x_w_true=np.array(vals[5:7]), x_w_nominal=np.array(vals[7:9]))
-        rows.append(ParsedTraceRow(
-            t=vals[0], state=state, u_head=vals[9], v_head=vals[10],
-            risk=vals[11]))
+        rows.append(SimRecord(vals[0], state, vals[9], vals[10], vals[11]))
     return ParsedTrace(rows=rows, outcome_kind=kind, t_end=float(t_part))
 
 

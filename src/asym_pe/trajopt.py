@@ -6,13 +6,15 @@ deception game), subject to obstacle clearance at every horizon sample.
 A risk-free, non-deceptive player whose straight line is feasible takes
 it: it is the global optimum. Otherwise solved by an exterior quadratic
 penalty with finite-difference gradient descent, backtracking line
-search, and (for the deceptive evader) seeded multi-start.
+search, and (for the deceptive evader) seeded multi-start. Either way
+one rule (_pick) chooses the answer among the candidates.
 
-_BatchEval is the one evaluator: it scores a batch of candidate heading
-sequences, and the reported payoff and violations of a single sequence
-(evaluate_objective, constraint_violations) are its one-row scoring. It
-reaches positions through game.track, the path step_state takes too; the
-scalar reference it is tested against is in tests/oracles.py.
+A HorizonProblem is the one evaluator: calling it scores a batch of
+candidate heading sequences, and the reported payoff and violations of a
+single sequence (evaluate_objective, constraint_violations) are its
+one-row scoring. It reaches positions through game.track, the path
+step_state takes too; the scalar reference it is tested against is in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -81,26 +83,6 @@ N_STARTS = 1 + len(PERTURB_SCALES)
 
 
 @dataclass(frozen=True)
-class HorizonProblem:
-    """One player's fixed-opponent horizon optimization.
-
-    The opponent enters the payoff only through the terminal point of its
-    plan, opponent_end (x, y). It is None exactly for the deceptive evader,
-    whose opponent is the pure-pursuit model instead of a fixed plan.
-    """
-
-    player: Player
-    start_state: GameState
-    opponent_end: np.ndarray | None
-    cfg: ScenarioConfig
-
-    def __post_init__(self):
-        if (self.opponent_end is None) != (self.player is Player.DECEPTIVE_EVADER):
-            raise ValidationError(
-                "opponent_end must be None exactly for the deceptive evader")
-
-
-@dataclass(frozen=True)
 class BestResponse:
     """The winning candidate of best_response, scored by the batch evaluator.
 
@@ -122,45 +104,50 @@ def horizon_times(t0: float, n: int, dt: float) -> np.ndarray:
     return np.cumsum(np.r_[t0, np.full(n, dt)])[1:]
 
 
-class _BatchEval:
-    """Vectorized payoff/constraint evaluation over candidate headings.
+class HorizonProblem:
+    """One player's fixed-opponent horizon problem, and its batch evaluator.
 
-    Positions come from game.track, the path step_state takes, so each
-    row's positions equal the step_state chain's bit for bit. The opponent
-    is the fixed point opp_end, or for the deceptive evader a pure-pursuit
-    model chasing each row's own positions. The penalty sums
-    max(0, g + FEASIBILITY_TOL)^2, so a descent that stops just short of
-    its zero set still ends feasible, max(0, g) <= FEASIBILITY_TOL. The
-    payoff is the scalar reference's formula (tests/oracles.py) but not
-    its arithmetic: norms taken along an axis and the batched pure-pursuit
-    and risk terms can differ from the scalar norms in the last bits.
-    evaluate_objective and constraint_violations are the one-row scoring
-    of a sequence.
+    The opponent enters the payoff only through the terminal point of its
+    plan, opponent_end (x, y). It is None exactly for the deceptive evader,
+    whose opponent is a pure-pursuit model chasing each row's own
+    positions instead. Calling the problem scores a batch of candidate
+    headings. Positions come from game.track, the path step_state takes,
+    so each row's positions equal the step_state chain's bit for bit. The
+    penalty sums max(0, g + FEASIBILITY_TOL)^2, so a descent that stops
+    just short of its zero set still ends feasible, max(0, g) <=
+    FEASIBILITY_TOL. The payoff is the scalar reference's formula
+    (tests/oracles.py) but not its arithmetic: norms taken along an axis
+    and the batched pure-pursuit and risk terms can differ from the scalar
+    norms in the last bits. evaluate_objective and constraint_violations
+    are the one-row scoring of a sequence.
     """
 
-    def __init__(self, prob: HorizonProblem):
-        cfg = prob.cfg
-        s0 = prob.start_state
+    def __init__(self, player: Player, start_state: GameState,
+                 opponent_end: np.ndarray | None, cfg: ScenarioConfig):
+        if (opponent_end is None) != (player is Player.DECEPTIVE_EVADER):
+            raise ValidationError(
+                "opponent_end must be None exactly for the deceptive evader")
+        self.player = player
+        self.start_state = start_state
+        self.opponent_end = opponent_end
         self.cfg = cfg
         self.n = cfg.N
         self.dt = cfg.dt
-        self.deceptive = prob.player is Player.DECEPTIVE_EVADER
-        pursues = prob.player.pursues
+        self.deceptive = player is Player.DECEPTIVE_EVADER
+        pursues = player.pursues
         self.speed = cfg.u_c if pursues else cfg.v_c
-        self.my_start = s0.x_p if pursues else s0.x_e
+        self.my_start = start_state.x_p if pursues else start_state.x_e
         # Multiplier turning the raw payoff into a minimization target.
         self.sign = 1.0 if pursues else -1.0
         # Only the pursuer's own plan carries risk; at Q = 0 it is exact zeros.
-        self.risk = prob.player is Player.PURSUER and not cfg.q_is_zero
-        self.ts = horizon_times(s0.t, self.n, cfg.dt)
+        self.risk = player is Player.PURSUER and not cfg.q_is_zero
+        ts = horizon_times(start_state.t, self.n, cfg.dt)
         self.rel_ts = horizon_times(0.0, self.n, cfg.dt)
-        self.w_nominal = cfg.nominal_obstacle(self.ts)
+        self.w_nominal = cfg.nominal_obstacle(ts)
         # The true obstacle stream is materialized only where the problem
         # is allowed to know it; no model of the other side touches rho_true.
-        self.w_true = cfg.true_obstacle(self.ts) if prob.player.knows_true_disk else None
+        self.w_true = cfg.true_obstacle(ts) if player.knows_true_disk else None
         self.w_model = self.w_nominal if self.w_true is None else self.w_true
-        self.opp_end = prob.opponent_end
-        self.x_p0 = s0.x_p
         # Central-difference stencil around a point: row 0 is the point,
         # rows 2j+1 and 2j+2 step heading j by +GRAD_H and -GRAD_H.
         self.fd_offsets = np.zeros((2 * self.n + 1, self.n))
@@ -185,7 +172,7 @@ class _BatchEval:
         viol_max = np.maximum(g.max(axis=-1), 0.0)
         if self.deceptive:
             b = pos.shape[0]
-            xp = np.broadcast_to(self.x_p0, (b, 2))
+            xp = np.broadcast_to(self.start_state.x_p, (b, 2))
             e_prev = np.broadcast_to(self.my_start, (b, 2))
             with np.errstate(invalid="ignore", divide="ignore"):
                 for i in range(self.n):
@@ -196,7 +183,7 @@ class _BatchEval:
                 raw = (cfg.alpha_o * np.linalg.norm(xp - pos[:, -1], axis=-1)
                        - cfg.alpha_d * np.linalg.norm(xp - self.w_true[-1], axis=-1))
         else:
-            raw = np.linalg.norm(pos[:, -1] - self.opp_end, axis=-1)
+            raw = np.linalg.norm(pos[:, -1] - self.opponent_end, axis=-1)
             if self.risk:
                 # Only the pursuer's own plan carries risk, and it plans with
                 # the nominal disk, so g is already the risk gate's clearance.
@@ -205,16 +192,20 @@ class _BatchEval:
         return raw, pen, viol_max
 
 
+# gamebench/tracing.py wraps the evaluator as trajopt._BatchEval.__call__.
+_BatchEval = HorizonProblem
+
+
 def evaluate_objective(prob: HorizonProblem, seq: ControlSequence) -> float:
     """Raw payoff of one heading sequence (unpenalized, unsigned)."""
-    raw, _, _ = _BatchEval(prob)(seq.headings[None, :])
+    raw, _, _ = prob(seq.headings[None, :])
     return float(raw[0])
 
 
 def constraint_violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
     """Per-sample max(0, g) of the optimizing player, shape (N,)."""
-    ev = _BatchEval(prob)
-    return np.maximum(ev.clearance(track(ev.my_start, seq.headings, ev.speed, ev.dt)), 0.0)
+    return np.maximum(prob.clearance(
+        track(prob.my_start, seq.headings, prob.speed, prob.dt)), 0.0)
 
 
 def shift_and_hold(seq: ControlSequence) -> ControlSequence:
@@ -233,7 +224,7 @@ def _perturbed_starts(init: ControlSequence, n_starts: int, seed: int) -> np.nda
     return h
 
 
-def _straight_line(ev: _BatchEval) -> np.ndarray | None:
+def _straight_line(prob: HorizonProblem) -> np.ndarray | None:
     """The global optimum of a free-space problem as headings, where it is unique.
 
     Without risk or deception the payoff is the distance from the player's
@@ -243,14 +234,14 @@ def _straight_line(ev: _BatchEval) -> np.ndarray | None:
     straight line away from o; the nearest is the end of the line toward
     o, when o lies beyond that reach. None for any other problem.
     """
-    if ev.risk or ev.deceptive:
+    if prob.risk or prob.deceptive:
         return None
-    gap = ev.opp_end - ev.my_start
-    if ev.sign < 0.0:  # an evader flees
+    gap = prob.opponent_end - prob.my_start
+    if prob.sign < 0.0:  # an evader flees
         gap = -gap
-    elif math.hypot(gap[0], gap[1]) <= ev.speed * ev.n * ev.dt:
+    elif math.hypot(gap[0], gap[1]) <= prob.speed * prob.n * prob.dt:
         return None
-    return np.full(ev.n, math.atan2(gap[1], gap[0]))
+    return np.full(prob.n, math.atan2(gap[1], gap[0]))
 
 
 def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
@@ -258,53 +249,73 @@ def best_response(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
 
     A risk-free, non-deceptive player first tries its straight line
     (_straight_line): when feasible it is the constrained global optimum,
-    returned with no descent step unless the warm start rounds better.
-    Every other problem descends from the warm start (_descend).
+    and it and the warm start are the candidates, with no descent step.
+    Every other problem descends from the warm start (_descend). Either
+    way _pick chooses the answer.
     """
     n = prob.cfg.N
     if len(init) != n:
         raise ValidationError(f"init length {len(init)} != N={n}")
-    ev = _BatchEval(prob)
-    line = _straight_line(ev)
+    line = _straight_line(prob)
     if line is not None:
         # The warm start stays a candidate: rounding can leave it a bit better.
-        raw, _, viol_max = ev(np.vstack([line, init.headings]))
+        heads = np.vstack([line, init.headings])
+        raw, _, viol_max = prob(heads)
         if viol_max[0] <= FEASIBILITY_TOL and np.isfinite(raw[0]):
-            k = int(viol_max[1] <= FEASIBILITY_TOL and ev.sign * raw[1] < ev.sign * raw[0])
-            return BestResponse(
-                sequence=init if k else ControlSequence(headings=line),
-                objective_value=float(raw[k]),
-                constraint_max_violation=float(viol_max[k]),
-                solver_iters=0,
-                converged=True,
-            )
-    return _descend(ev, init)
+            return _pick(prob, init, heads, raw, viol_max, np.zeros(2, int), np.zeros(2, bool))
+    return _descend(prob, init)
 
 
-def _descend(ev: _BatchEval, init: ControlSequence) -> BestResponse:
-    """Feasible local optimizer of the evaluator's problem from a warm start.
+def _pick(prob: HorizonProblem, init: ControlSequence, heads: np.ndarray,
+          raw: np.ndarray, viol: np.ndarray, iters: np.ndarray,
+          capped: np.ndarray) -> BestResponse:
+    """The winning candidate: one row of heads, the last being the warm start.
+
+    Each row comes with its raw payoff, its max violation, its accepted
+    descent steps and whether MAX_DESCENT_ITERS cut its descent. The
+    feasible row with the best finite sign-adjusted payoff wins; on a tie
+    any other row beats the warm start, then the lexicographically
+    smaller heading vector wins. NoFeasibleSequence means no row is
+    feasible, the warm start included.
+    """
+    last = len(heads) - 1
+    feasible = (viol <= FEASIBILITY_TOL) & np.isfinite(raw)
+    if not feasible.any():
+        raise NoFeasibleSequence(
+            f"no feasible heading sequence from {last} starts or the warm "
+            f"start (best violation {viol.min():.3g})")
+    winner = min(np.flatnonzero(feasible), key=lambda m: (
+        prob.sign * raw[m], m == last, tuple(heads[m])))
+    return BestResponse(
+        sequence=init if winner == last else ControlSequence(headings=heads[winner].copy()),
+        objective_value=float(raw[winner]),
+        constraint_max_violation=float(viol[winner]),
+        solver_iters=int(iters[winner]),
+        converged=not capped[winner],
+    )
+
+
+def _descend(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
+    """Feasible local optimizer of the horizon problem from a warm start.
 
     Exterior penalty method: one round per weight mu in MU_SCHEDULE. In a
     round, every start still infeasible gradient-descends the sign-adjusted
     payoff plus mu * sum(max(0, g)^2) until it no longer moves; the starts
     wait for each other between rounds, and no round begins once every
-    start is feasible. The candidates are the descended starts, each as
-    its last round left it, and the warm start itself, undescended. The
-    feasible candidate with the best finite sign-adjusted payoff wins; on
-    a tie a descended start beats the warm start, then the
-    lexicographically smaller heading vector wins. NoFeasibleSequence
-    means no candidate is feasible, the warm start included.
+    start is feasible. The candidates for _pick are the descended starts,
+    each as its last round left it, and the warm start itself,
+    undescended.
     """
-    cfg = ev.cfg
+    cfg = prob.cfg
     # Gauss-Seidel best responses run from the warm iterate only, mirroring
     # warm-started per-block local solves: multi-start winners hopping
     # between distant local optima on successive iterations turn the
     # fixed-point iteration into a limit cycle and select equilibria no
     # warm-started local solver would reach. Only the deceptive evader's
     # single solve, outside any iteration, takes seeded starts.
-    n_starts = N_STARTS if ev.deceptive else 1
-    n = ev.n
-    sign = ev.sign
+    n_starts = N_STARTS if prob.deceptive else 1
+    n = prob.n
+    sign = prob.sign
     ladder = INITIAL_STEP * BACKTRACK_FACTOR ** np.arange(N_BACKTRACKS)
 
     h_cur = _perturbed_starts(init, n_starts, cfg.seed)
@@ -321,7 +332,7 @@ def _descend(ev: _BatchEval, init: ControlSequence) -> BestResponse:
         # Every start in the round has taken k accepted steps.
         for k in range(MAX_DESCENT_ITERS + 1):
             # One call scores each point and its stencil; column 0 is the point.
-            raw, pen, viol_max = ev(ev.fd_stencil(h_cur[act]))
+            raw, pen, viol_max = prob(prob.fd_stencil(h_cur[act]))
             if k == 0 and mu == MU_SCHEDULE[0]:
                 # Start 0 is the warm start, so row 0 scores it.
                 raw_end[-1], viol_end[-1] = raw[0], viol_max[0]
@@ -334,7 +345,7 @@ def _descend(ev: _BatchEval, init: ControlSequence) -> BestResponse:
                 direction = -grad[moved] / gnorm[moved][:, None]
                 cand = (h_cur[act[moved]][:, None, :]
                         + ladder[None, :, None] * direction[:, None, :])
-                raw_l, pen_l, _ = ev(cand.reshape(-1, n))
+                raw_l, pen_l, _ = prob(cand.reshape(-1, n))
                 f_l = (sign * raw_l + mu * pen_l).reshape(-1, N_BACKTRACKS)
                 # Each start takes the longest step that lowers its value.
                 better = f_l < f[moved, :1]
@@ -355,21 +366,5 @@ def _descend(ev: _BatchEval, init: ControlSequence) -> BestResponse:
         if not infeasible.any():
             break
 
-    feasible = (viol_end <= FEASIBILITY_TOL) & np.isfinite(raw_end)
-    if not feasible.any():
-        raise NoFeasibleSequence(
-            f"no feasible heading sequence from {n_starts} starts or the warm "
-            f"start (best violation {viol_end.min():.3g})")
-    candidates = np.vstack([h_cur, init.headings])
-    winner = min(np.flatnonzero(feasible), key=lambda m: (
-        sign * raw_end[m], m == n_starts, tuple(candidates[m])))
-    seq = (init if winner == n_starts
-           else ControlSequence(headings=h_cur[winner].copy()))
-
-    return BestResponse(
-        sequence=seq,
-        objective_value=float(raw_end[winner]),
-        constraint_max_violation=float(viol_end[winner]),
-        solver_iters=int(total_iters[winner]),
-        converged=not capped[winner],
-    )
+    return _pick(prob, init, np.vstack([h_cur, init.headings]),
+                 raw_end, viol_end, total_iters, capped)

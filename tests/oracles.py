@@ -6,7 +6,7 @@ here moves one player one step with scalar libm cos and sin, and
 scalar_step is step_state built on it.
 
 Horizon payoff: the runtime scores every heading sequence with the batch
-evaluator (asym_pe.trajopt._BatchEval). The scalar reference here rolls
+evaluator (calling an asym_pe.trajopt.HorizonProblem). The scalar reference here rolls
 the optimizing player forward one scalar_step call at a time, measures
 its terminal distance to the problem's opponent_end, runs the deceptive
 evader's pure-pursuit model one step at a time, and scores the risk with
@@ -35,7 +35,7 @@ from asym_pe.game import (
     track,
 )
 from asym_pe.sensitivity import rcs_sample
-from asym_pe.trajopt import GRAD_H, HorizonProblem, Player, _BatchEval, horizon_times
+from asym_pe.trajopt import GRAD_H, HorizonProblem, Player, horizon_times
 
 
 class CoincidentPositions(ValueError):
@@ -158,8 +158,7 @@ def violations(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
 
 def objective_gradient(prob: HorizonProblem, seq: ControlSequence) -> np.ndarray:
     """Central-difference gradient of the batch payoff w.r.t. headings."""
-    ev = _BatchEval(prob)
-    raw, _, _ = ev(ev.fd_stencil(seq.headings[None, :]))
+    raw, _, _ = prob(prob.fd_stencil(seq.headings[None, :]))
     # Row 0 is the point; rows 2j+1 and 2j+2 step heading j by +/-GRAD_H.
     return (raw[1::2] - raw[2::2]) / (2.0 * GRAD_H)
 

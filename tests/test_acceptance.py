@@ -29,7 +29,7 @@ from asym_pe.scenarios import PRESET_EXPECTATIONS, preset, time_band
 from asym_pe.sensitivity import weighted_terms
 from asym_pe.sim import replay_pursuer_decisions, run
 from asym_pe.trace_io import parse_trace_csv, write_trace_csv
-from asym_pe.trajopt import HorizonProblem, Player, _BatchEval, best_response
+from asym_pe.trajopt import HorizonProblem, Player, best_response
 
 MAX_WALL_SECONDS = 60.0
 
@@ -153,14 +153,14 @@ def test_zero_weight_risk_path_is_identical():
     for rec in trace.decision_records:
         v = rng.uniform(-3, 3, cfg.N)
         v_end = track(rec.state.x_e, v, cfg.v_c, cfg.dt)[-1]
-        ev = _BatchEval(HorizonProblem(Player.PURSUER, rec.state, v_end, cfg))
+        prob = HorizonProblem(Player.PURSUER, rec.state, v_end, cfg)
         headings = rng.uniform(-7, 7, (16, cfg.N))
-        pos = track(ev.my_start, headings, ev.speed, ev.dt)
+        pos = track(prob.my_start, headings, prob.speed, prob.dt)
         raw = np.linalg.norm(pos[:, -1] - v_end, axis=-1)
-        g = constraint_g(pos, ev.w_nominal, cfg.r_o)
+        g = constraint_g(pos, prob.w_nominal, cfg.r_o)
         risk_path = raw + np.sum(
-            weighted_terms(pos - ev.w_nominal, g, ev.rel_ts, cfg), axis=-1)
-        mismatches += int(np.sum(ev(headings)[0] != risk_path))
+            weighted_terms(pos - prob.w_nominal, g, prob.rel_ts, cfg), axis=-1)
+        mismatches += int(np.sum(prob(headings)[0] != risk_path))
         rows += len(headings)
     ok = mismatches == 0
     line = report("zero-weight equivalence", ok,

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asym_pe import game_solver
 from asym_pe.game import (
     COLLISION_TOL,
     ControlSequence,
@@ -17,7 +16,6 @@ from asym_pe.game import (
     track,
 )
 from asym_pe.game_solver import (
-    GAUSS_SEIDEL,
     GaussSeidelConfig,
     StepStatus,
     solve_evader_deceptive,
@@ -58,8 +56,8 @@ def test_collinear_no_obstacle_converges_immediately():
     los = line_of_sight_heading(s0.x_p, s0.x_e)
     assert angle_diff(dec.u_seq.headings[0], los) <= 1e-2
     assert angle_diff(dec.v_seq.headings[0], los) <= 1e-2  # evader flees along the line
-    assert dec.residual_u <= GAUSS_SEIDEL.conv_tol
-    assert dec.residual_v <= GAUSS_SEIDEL.conv_tol
+    assert dec.residual_u <= GaussSeidelConfig.conv_tol
+    assert dec.residual_v <= GaussSeidelConfig.conv_tol
 
 
 def test_fig2_first_heading_near_line_of_sight():
@@ -112,16 +110,16 @@ def test_iteration_cap_respected(monkeypatch):
     # exact fixed point on fig2, so constant off-line headings are used.
     cfg = preset("fig2_collision")
     s0 = initial_state(cfg)
-    gs = GaussSeidelConfig(conv_tol=1e-15, max_iters=2)
-    monkeypatch.setattr(game_solver, "GAUSS_SEIDEL", gs)
+    monkeypatch.setattr(GaussSeidelConfig, "conv_tol", 1e-15)
+    monkeypatch.setattr(GaussSeidelConfig, "max_iters", 2)
     warm = (ControlSequence(headings=np.full(cfg.N, 0.3)),
             ControlSequence(headings=np.full(cfg.N, -0.4)))
     dec = solve_pursuer_game(s0, cfg, warm)
-    assert dec.iters == gs.max_iters
+    assert dec.iters == GaussSeidelConfig.max_iters
     assert dec.status is StepStatus.CAPPED
     assert not dec.converged
     assert np.isfinite(dec.residual_u) and np.isfinite(dec.residual_v)
-    assert max(dec.residual_u, dec.residual_v) > gs.conv_tol
+    assert max(dec.residual_u, dec.residual_v) > GaussSeidelConfig.conv_tol
 
 
 @pytest.mark.parametrize("name", ["fig3_desensitized", "fig4_rho1"])
@@ -131,8 +129,7 @@ def test_outcome_does_not_depend_on_the_iteration_cap(monkeypatch, name):
     # the endgame does not iterate, so moving the cap moves nothing.
     kinds = set()
     for max_iters in (49, 50, 51):
-        monkeypatch.setattr(game_solver, "GAUSS_SEIDEL",
-                            GaussSeidelConfig(max_iters=max_iters))
+        monkeypatch.setattr(GaussSeidelConfig, "max_iters", max_iters)
         kinds.add(run(preset(name)).outcome.kind)
     assert len(kinds) == 1, kinds
 

@@ -26,7 +26,6 @@ from asym_pe.trajopt import (
     FEASIBILITY_TOL,
     NoFeasibleSequence,
     Player,
-    _BatchEval,
     _descend,
     _straight_line,
     best_response,
@@ -175,7 +174,6 @@ def test_a_feasible_warm_start_is_never_lost(cfg, player):
     opp = None if player is Player.DECEPTIVE_EVADER else ControlSequence(
         np.full(cfg.N, los))
     prob = oracles.problem_against(player, s0, opp, cfg)
-    ev = _BatchEval(prob)
     warm = ControlSequence(np.full(cfg.N, los))
     warm_value = evaluate_objective(prob, warm)
     assume(constraint_violations(prob, warm).max() <= FEASIBILITY_TOL)
@@ -183,7 +181,7 @@ def test_a_feasible_warm_start_is_never_lost(cfg, player):
     resp = best_response(prob, warm)
     assert resp.constraint_max_violation <= FEASIBILITY_TOL
     assert constraint_violations(prob, resp.sequence).max() <= FEASIBILITY_TOL
-    assert ev.sign * resp.objective_value <= ev.sign * warm_value
+    assert prob.sign * resp.objective_value <= prob.sign * warm_value
 
 
 FREE_SPACE_PLAYERS = (Player.PURSUER, Player.EVADER_MODEL, Player.PURSUER_MODEL,
@@ -202,18 +200,17 @@ def test_a_feasible_straight_line_is_never_beaten(cfg, player, data):
     angles = st.lists(_finite(-math.pi, math.pi), min_size=cfg.N, max_size=cfg.N)
     prob = oracles.problem_against(player, s0, ControlSequence(
         np.array(data.draw(angles))), cfg)
-    ev = _BatchEval(prob)
-    line = _straight_line(ev)
+    line = _straight_line(prob)
     assume(line is not None)
-    raw, _, viol = ev(line[None, :])
+    raw, _, viol = prob(line[None, :])
     assume(viol[0] <= FEASIBILITY_TOL)
     for _ in range(3):
         start = ControlSequence(np.array(data.draw(angles)))
         try:
-            resp = _descend(ev, start)
+            resp = _descend(prob, start)
         except NoFeasibleSequence:
             continue
-        assert ev.sign * resp.objective_value >= ev.sign * raw[0] - 1e-9
+        assert prob.sign * resp.objective_value >= prob.sign * raw[0] - 1e-9
     resp = best_response(prob, start)
     np.testing.assert_array_equal(resp.sequence.headings, line)
     assert (resp.objective_value, resp.solver_iters) == (raw[0], 0)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from asym_pe import sim
 from asym_pe.game import (
     ControlSequence,
     GameState,
@@ -15,9 +16,11 @@ from asym_pe.game import (
     initial_state,
     step_state,
 )
+from asym_pe.game_solver import solve_pursuer_game
 from asym_pe.scenarios import preset
 from asym_pe.sensitivity import relevance
 from asym_pe.sim import plan_risk, replay_pursuer_decisions, run, run_batch
+from asym_pe.trajopt import NoFeasibleSequence, shift_and_hold
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +236,28 @@ def test_a_hold_does_not_steer_into_the_disk():
                   obstacle_start=(3.7864957676317803, 0.36918966828234634),
                   t_max=4)
     assert run(cfg).outcome.kind is not OutcomeKind.EVADER_COLLISION
+
+
+def test_a_hold_follows_the_plan_it_keeps(monkeypatch):
+    # On a hold the pursuer keeps its last plan shifted by one step, the
+    # warm start, and both the heading it applies and the risk it logs
+    # come from that plan. Applying the previous heading instead gives
+    # -0.357049 here, where the kept plan starts at -0.356969.
+    cfg = replace(preset("fig3_desensitized"), t_max=0.3)
+    calls = []
+
+    def second_fails(state, cfg, warm):
+        calls.append(state.t)
+        if len(calls) == 2:
+            raise NoFeasibleSequence("forced")
+        return solve_pursuer_game(state, cfg, warm)
+
+    monkeypatch.setattr(sim, "solve_pursuer_game", second_fails)
+    first, held = run(cfg).decision_records[:2]
+    assert held.pursuer_infeasible and not first.pursuer_infeasible
+    kept = shift_and_hold(first.pursuer.u_seq)
+    assert held.u_head == kept.headings[0]
+    assert held.risk == plan_risk(cfg, held.state, kept)
 
 
 @pytest.mark.parametrize("name, seed, t_max", [

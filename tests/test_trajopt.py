@@ -23,7 +23,6 @@ from asym_pe.trajopt import (
     HorizonProblem,
     NoFeasibleSequence,
     Player,
-    _BatchEval,
     _perturbed_starts,
     best_response,
     constraint_violations,
@@ -120,22 +119,22 @@ def test_player_speed_start_sign_disk_and_risk(player, q):
     s0 = initial_state(cfg)
     opp = (None if player is Player.DECEPTIVE_EVADER
            else constant_seq(0.2, cfg.N))
-    ev = _BatchEval(oracles.problem_against(player, s0, opp, cfg))
-    assert ev.speed == (cfg.u_c if pursues else cfg.v_c)
-    assert ev.my_start is (s0.x_p if pursues else s0.x_e)
-    assert ev.sign == (1.0 if pursues else -1.0)
+    prob = oracles.problem_against(player, s0, opp, cfg)
+    assert prob.speed == (cfg.u_c if pursues else cfg.v_c)
+    assert prob.my_start is (s0.x_p if pursues else s0.x_e)
+    assert prob.sign == (1.0 if pursues else -1.0)
     if true_disk:
-        assert ev.w_model is ev.w_true
+        assert prob.w_model is prob.w_true
     else:
-        assert ev.w_true is None and ev.w_model is ev.w_nominal
+        assert prob.w_true is None and prob.w_model is prob.w_nominal
     headings = np.random.default_rng(3).uniform(-3.0, 3.0, (5, cfg.N))
-    raw = ev(headings)[0]
+    raw = prob(headings)[0]
     if player is not Player.DECEPTIVE_EVADER:
-        pos = track(ev.my_start, headings, ev.speed, ev.dt)
-        distance = np.linalg.norm(pos[:, -1] - ev.opp_end, axis=-1)
+        pos = track(prob.my_start, headings, prob.speed, prob.dt)
+        distance = np.linalg.norm(pos[:, -1] - prob.opponent_end, axis=-1)
         carries_risk = not np.array_equal(raw, distance)
         assert carries_risk == (risk and q != 0.0)
-    assert ev.risk == (risk and q != 0.0)
+    assert prob.risk == (risk and q != 0.0)
 
 
 def test_rollout_matches_step_state_chain():
@@ -169,7 +168,6 @@ def test_gradient_matches_sequential_finite_differences():
         prob = oracles.problem_against(Player.PURSUER, s0, v, cfg)
         u = ControlSequence(headings=rng.uniform(-3, 3, cfg.N))
         grad = oracles.objective_gradient(prob, u)
-        ev = _BatchEval(prob)
         batch = np.empty(cfg.N)
         scalar = np.empty(cfg.N)
         for j in range(cfg.N):
@@ -177,7 +175,7 @@ def test_gradient_matches_sequential_finite_differences():
             hm = u.headings.copy()
             hp[j] += GRAD_H
             hm[j] -= GRAD_H
-            batch[j] = (ev(hp[None, :])[0][0] - ev(hm[None, :])[0][0]) / (2 * GRAD_H)
+            batch[j] = (prob(hp[None, :])[0][0] - prob(hm[None, :])[0][0]) / (2 * GRAD_H)
             fp = oracles.objective(prob, ControlSequence(headings=hp))
             fm = oracles.objective(prob, ControlSequence(headings=hm))
             scalar[j] = (fp - fm) / (2 * GRAD_H)
@@ -335,7 +333,7 @@ def test_reported_values_are_the_batch_scoring_of_the_sequence(case):
     s0 = prob.start_state
     init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), prob.cfg.N)
     resp = best_response(prob, init)
-    raw, _, viol = _BatchEval(prob)(resp.sequence.headings[None, :])
+    raw, _, viol = prob(resp.sequence.headings[None, :])
     assert resp.objective_value == raw[0]
     assert resp.constraint_max_violation == viol[0]
     assert evaluate_objective(prob, resp.sequence) == raw[0]
@@ -353,9 +351,8 @@ def test_batch_positions_equal_step_state_chain(case):
     # chain in tests/oracles.py visits, bit for bit.
     prob = _reported_value_problem(case)
     cfg = prob.cfg
-    ev = _BatchEval(prob)
     headings = np.random.default_rng(12).uniform(-7.0, 7.0, (6, cfg.N))
-    pos = track(ev.my_start, headings, ev.speed, ev.dt)
+    pos = track(prob.my_start, headings, prob.speed, prob.dt)
     assert pos.shape == (6, cfg.N, 2)
     # Only the optimizing player is compared, so any opponent plan drives
     # the chain.
@@ -423,17 +420,17 @@ def _end_violations_at_ten(prob, starts, monkeypatch):
 
     That is row 0 of the last stencil call, (2N+1) rows, of its solve.
     """
-    real_call = _BatchEval.__call__
+    real_call = HorizonProblem.__call__
     ends = []
 
-    def recording(ev, headings):
-        scores = real_call(ev, headings)
-        if len(headings) == 2 * ev.n + 1:
+    def recording(problem, headings):
+        scores = real_call(problem, headings)
+        if len(headings) == 2 * problem.n + 1:
             ends[-1] = scores[2][0]
         return scores
 
     with monkeypatch.context() as m:
-        m.setattr(_BatchEval, "__call__", recording)
+        m.setattr(HorizonProblem, "__call__", recording)
         for h in starts:
             ends.append(None)
             _solved_alone(prob, [h], monkeypatch, (10.0,))
@@ -462,8 +459,7 @@ def test_a_start_descends_as_if_alone(monkeypatch):
             continue
         full = best_response(prob, warm)
         alone = [r for r in _solved_alone(prob, starts, monkeypatch) if r is not None]
-        sign = _BatchEval(prob).sign
-        winner = min(alone, key=lambda r: (sign * r.objective_value,
+        winner = min(alone, key=lambda r: (prob.sign * r.objective_value,
                                            tuple(r.sequence.headings)))
         np.testing.assert_array_equal(full.sequence.headings, winner.sequence.headings,
                                       err_msg=f"t={rec.t}")
