@@ -67,8 +67,9 @@ def _as_pair(value, name: str) -> tuple[float, float]:
 
 def _as_number(value, name: str) -> float:
     # NaN and infinity are refused: a game with a NaN dt never terminates.
+    # So are booleans, which float() would read as 0 or 1.
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
@@ -128,29 +129,18 @@ class ScenarioConfig:
                 object.__setattr__(self, name, kind(getattr(self, name)))
             except ValueError as exc:
                 raise ValidationError(str(exc)) from exc
-        q = self.Q
+        q = np.asarray(self.Q, dtype=object)
         k = self.uncertainty_spec.n_params
-        if isinstance(q, (int, float)):
-            object.__setattr__(self, "Q", _as_number(q, "Q"))
+        if q.ndim == 0:
+            object.__setattr__(self, "Q", _as_number(q.item(), "Q"))
             if self.Q < 0.0:
                 raise ValidationError("Q must be positive semidefinite")
         else:
-            try:
-                mat = np.asarray(q, dtype=float)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"Q must be a number or a {k}x{k} matrix, got {q!r}") from None
-            if mat.shape != (k, k):
+            if q.shape != (k, k):
                 raise ValidationError(
                     f"Q matrix must be {k}x{k} for {self.uncertainty_spec.value}, "
-                    f"got shape {mat.shape}")
-            # float() reads a bool as 0 or 1; the scalar branch refuses one.
-            bools = [x for x in np.asarray(q, dtype=object).flat
-                     if isinstance(x, (bool, np.bool_))]
-            if bools:
-                raise ValidationError(f"Q must be a finite number, got {bools[0]!r}")
-            if not np.isfinite(mat).all():
-                raise ValidationError(f"Q matrix entries must be finite, got {q!r}")
+                    f"got shape {q.shape}")
+            mat = np.array([_as_number(x, "Q") for x in q.flat]).reshape(k, k)
             if not np.allclose(mat, mat.T):
                 raise ValidationError("Q matrix must be symmetric")
             if np.linalg.eigvalsh(mat).min() < -1e-12:

@@ -5,8 +5,8 @@ point of its opponent's plan (or a pure-pursuit opponent model in the
 deception game), subject to obstacle clearance at every horizon sample.
 A risk-free, non-deceptive player whose straight line is feasible takes
 it: it is the global optimum. Otherwise solved by an exterior quadratic
-penalty with finite-difference gradient descent, backtracking line
-search, and (for the deceptive evader) seeded multi-start. Either way
+penalty with finite-difference gradient descent on one step ladder,
+and (for the deceptive evader) seeded multi-start. Either way
 one rule (_pick) chooses the answer among the candidates.
 
 A HorizonProblem is the one evaluator: calling it scores a batch of
@@ -70,11 +70,9 @@ class NoFeasibleSequence(RuntimeError):
 FEASIBILITY_TOL = COLLISION_TOL
 MU_SCHEDULE = tuple(10.0 ** k for k in range(1, 8))
 MAX_DESCENT_ITERS = 60
-INITIAL_STEP = 0.2
-BACKTRACK_FACTOR = 0.5
-N_BACKTRACKS = 12
+# The step lengths a descent step tries along its unit direction.
+LADDER = 0.2 * 0.5 ** np.arange(12)
 GRAD_H = 1e-6
-GRAD_TOL = 1e-8
 # Perturbation spread for multi-start seeds, radians; last entry covers
 # full heading reversals.
 PERTURB_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, math.pi)
@@ -298,15 +296,15 @@ def _pick(prob: HorizonProblem, init: ControlSequence, heads: np.ndarray,
 def _descend(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     """Feasible local optimizer of the horizon problem from a warm start.
 
-    Exterior penalty method: one round per weight mu in MU_SCHEDULE. In a
-    round, every start still infeasible gradient-descends the sign-adjusted
-    payoff plus mu * sum(max(0, g)^2) until it no longer moves; the starts
-    wait for each other between rounds, and no round begins once every
-    start is feasible. The candidates for _pick are the descended starts,
-    each as its last round left it, and the warm start itself,
-    undescended.
+    Exterior penalty method on one candidate table, heads: its rows are the
+    starts, then the warm start, which takes no step. One round per weight
+    mu in MU_SCHEDULE: every start still infeasible gradient-descends the
+    sign-adjusted payoff plus mu * sum(max(0, g)^2), each step taking the
+    longest rung of LADDER that lowers that value, until it no longer
+    moves. The starts wait for each other between rounds, and no round
+    begins once every start is feasible. _pick chooses among the rows,
+    each scored where its last round left it.
     """
-    cfg = prob.cfg
     # Gauss-Seidel best responses run from the warm iterate only, mirroring
     # warm-started per-block local solves: multi-start winners hopping
     # between distant local optima on successive iterations turn the
@@ -316,23 +314,20 @@ def _descend(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
     n_starts = N_STARTS if prob.deceptive else 1
     n = prob.n
     sign = prob.sign
-    ladder = INITIAL_STEP * BACKTRACK_FACTOR ** np.arange(N_BACKTRACKS)
-
-    h_cur = _perturbed_starts(init, n_starts, cfg.seed)
-    # Per candidate: the starts, then the warm start, which takes no step.
-    # A candidate's scores are those of the point where it stopped.
+    heads = np.vstack([_perturbed_starts(init, n_starts, prob.cfg.seed), init.headings])
     raw_end = np.empty(n_starts + 1)
-    viol_end = np.empty(n_starts + 1)
+    viol_end = np.full(n_starts + 1, np.inf)
     total_iters = np.zeros(n_starts + 1, dtype=int)
     capped = np.zeros(n_starts + 1, dtype=bool)
-    infeasible = np.ones(n_starts, dtype=bool)
 
     for mu in MU_SCHEDULE:
-        act = np.flatnonzero(infeasible)
+        act = np.flatnonzero(viol_end[:-1] > FEASIBILITY_TOL)
+        if not len(act):
+            break
         # Every start in the round has taken k accepted steps.
         for k in range(MAX_DESCENT_ITERS + 1):
             # One call scores each point and its stencil; column 0 is the point.
-            raw, pen, viol_max = prob(prob.fd_stencil(h_cur[act]))
+            raw, pen, viol_max = prob(prob.fd_stencil(heads[act]))
             if k == 0 and mu == MU_SCHEDULE[0]:
                 # Start 0 is the warm start, so row 0 scores it.
                 raw_end[-1], viol_end[-1] = raw[0], viol_max[0]
@@ -340,31 +335,26 @@ def _descend(prob: HorizonProblem, init: ControlSequence) -> BestResponse:
             grad = (f[:, 1::2] - f[:, 2::2]) / (2.0 * GRAD_H)
             gnorm = np.linalg.norm(grad, axis=1)
             # The starts that search, narrowed below to the ones that move.
-            moved = np.isfinite(f[:, 0]) & (gnorm > GRAD_TOL) & (k < MAX_DESCENT_ITERS)
+            moved = np.isfinite(f[:, 0]) & (gnorm > 0.0) & (k < MAX_DESCENT_ITERS)
             if moved.any():
                 direction = -grad[moved] / gnorm[moved][:, None]
-                cand = (h_cur[act[moved]][:, None, :]
-                        + ladder[None, :, None] * direction[:, None, :])
+                cand = heads[act[moved]][:, None, :] + LADDER[:, None] * direction[:, None, :]
                 raw_l, pen_l, _ = prob(cand.reshape(-1, n))
-                f_l = (sign * raw_l + mu * pen_l).reshape(-1, N_BACKTRACKS)
+                f_l = (sign * raw_l + mu * pen_l).reshape(-1, len(LADDER))
                 # Each start takes the longest step that lowers its value.
                 better = f_l < f[moved, :1]
                 took = better.any(axis=1)
                 moved[moved] = took
-                h_cur[act[moved]] = cand[took, better[took].argmax(axis=1)]
+                heads[act[moved]] = cand[took, better[took].argmax(axis=1)]
                 total_iters[act[moved]] += 1
 
             # A start that did not move ends its round.
             ended = act[~moved]
             raw_end[ended] = raw[::2 * n + 1][~moved]
             viol_end[ended] = viol_max[::2 * n + 1][~moved]
-            infeasible[ended] = viol_end[ended] > FEASIBILITY_TOL
             capped[ended] = k == MAX_DESCENT_ITERS
             act = act[moved]
             if not len(act):
                 break
-        if not infeasible.any():
-            break
 
-    return _pick(prob, init, np.vstack([h_cur, init.headings]),
-                 raw_end, viol_end, total_iters, capped)
+    return _pick(prob, init, heads, raw_end, viol_end, total_iters, capped)

@@ -10,8 +10,10 @@ those gaps are documented, not hidden.
 """
 
 import math
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from asym_pe.trace_io import parse_trace_csv, write_trace_csv
 from asym_pe.trajopt import HorizonProblem, Player, best_response
 
 MAX_WALL_SECONDS = 60.0
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 _CACHE: dict[str, tuple] = {}
 
@@ -139,6 +142,23 @@ def test_event_time_band(name):
         detail += f"; {BAND_NOTES[name]}"
     line = report(f"event-time {name}", ok, detail)
     assert ok, line
+
+
+def test_readme_presets_table_matches_the_runs():
+    # The README's "Simulated outcome" column is written by hand, so a
+    # trace change that moves an outcome must update it.
+    section = README.read_text().split("## Presets\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| (\w+) at ([\d.]+) \|$", section, re.M)
+    assert sorted(name for name, _, _ in rows) == sorted(HARD_OUTCOMES)
+    stale = []
+    for name, kind, t_end in rows:
+        outcome = run_preset(name)[0].outcome
+        if (kind, t_end) != (outcome.kind.value, f"{outcome.t_end:.2f}"):
+            stale.append(f"{name}: README {kind} at {t_end}, run "
+                         f"{outcome.kind.value} at {outcome.t_end:.2f}")
+    line = report("README presets table", not stale,
+                  "; ".join(stale) or f"{len(rows)} rows match the runs")
+    assert not stale, line
 
 
 def test_zero_weight_risk_path_is_identical():

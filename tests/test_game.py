@@ -150,6 +150,19 @@ def test_q_matrix_refuses_booleans_like_the_scalar(q):
     assert str(scalar.value) == "Q must be a finite number, got True"
 
 
+@pytest.mark.parametrize("q", [np.int64(1), np.float32(1.0), np.array(1.0)],
+                         ids=["int64", "float32", "zero_dim_array"])
+def test_numpy_scalar_q_is_the_scalar_q(q):
+    assert make_cfg(Q=q) == make_cfg(Q=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_max", np.True_), ("N", np.True_), ("seed", np.False_)], ids=["t_max", "N", "seed"])
+def test_numpy_booleans_are_refused_like_booleans(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+        make_cfg(**{field: value})
+
+
 def test_uncertainty_param_counts():
     assert UncertaintySpec.BOTH_CARTESIAN.n_params == 2
     for spec in (UncertaintySpec.RHO1_ONLY, UncertaintySpec.RHO2_ONLY,

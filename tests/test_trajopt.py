@@ -1,6 +1,7 @@
 """Horizon best responses against brute-force heading-grid oracles."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -399,6 +400,22 @@ def test_feasible_warm_start_wins_when_every_descent_ends_infeasible(monkeypatch
     assert (resp.solver_iters, resp.converged) == (0, True)
     assert resp.objective_value == evaluate_objective(prob, init)
     assert resp.constraint_max_violation == 0.0
+
+
+def test_a_flat_problem_takes_no_step():
+    # With both deception weights zero and the disk far away, every row
+    # scores payoff 0 and penalty 0: the gradient is exactly zero, and no
+    # start may divide by its norm or step.
+    cfg = replace(preset("fig7_deception_collision"), alpha_o=0.0, alpha_d=0.0,
+                  obstacle_start=(40.0, 40.0))
+    s0 = initial_state(cfg)
+    prob = HorizonProblem(Player.DECEPTIVE_EVADER, s0, None, cfg)
+    init = constant_seq(line_of_sight_heading(s0.x_p, s0.x_e), cfg.N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resp = best_response(prob, init)
+    assert (resp.solver_iters, resp.converged) == (0, True)
+    assert (resp.objective_value, resp.constraint_max_violation) == (0.0, 0.0)
 
 
 def _solved_alone(prob, starts, monkeypatch, mu_schedule=trajopt.MU_SCHEDULE):
